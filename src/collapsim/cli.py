@@ -5,7 +5,9 @@ named scenario with catalog defaults (``walk-scan``, ``eraser``,
 ``thermal``, ``conserve``). Artifacts are written atomically and with
 deterministic bytes: fixed key order, repr floats, no timestamps, and
 every file embeds the config hash and master seed so a result can be
-traced back to the exact inputs that produced it.
+traced back to the exact inputs that produced it. JSON artifacts are
+strict: a non-finite number (NaN for an empty branch's conditional
+expectation, an infinite ratio) is written as ``null``.
 
 Exit codes: 0 success, 2 config error, 3 numerical abort. A numerical
 abort still writes an artifact, flagged ``"status": "aborted"`` with
@@ -21,6 +23,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -74,8 +77,9 @@ def _jsonable(value):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
-    if isinstance(value, np.floating):
-        return float(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if math.isfinite(value) else None
     if isinstance(value, np.integer):
         return int(value)
     return value
@@ -108,7 +112,7 @@ def _write_artifacts(cfg: RunConfig, payload: dict, table=None) -> list[str]:
     if "json" in cfg.formats:
         path = base + ".json"
         _atomic_write(path, json.dumps(_jsonable(payload), sort_keys=True,
-                                       indent=2) + "\n")
+                                       indent=2, allow_nan=False) + "\n")
         paths.append(path)
     if "csv" in cfg.formats and table is not None:
         header, rows = table

@@ -12,6 +12,11 @@ component.
 Everything here works in natural units (hbar = 1) on grid states; a
 finite-basis path takes the rate as an explicit input because labeled
 bases carry no derivatives.
+
+The grid functions read the potential and its derivatives from an
+optional ``PairGeometry`` of the pair; a run passes its own so the
+fields are computed once, and a call without one builds a throwaway
+geometry at each point of use.
 """
 
 from __future__ import annotations
@@ -25,13 +30,9 @@ from .operators import (
     GaussianWell,
     InteractionPair,
     LinearOperator,
+    PairGeometry,
     SoftCoulomb,
     derivative1,
-    potential_field,
-    potential_gradient,
-    potential_laplacian,
-    separation_components,
-    separation_sq,
 )
 from .state import GridBasis, HilbertState, normalize
 
@@ -84,7 +85,13 @@ def _mean_potential(state: HilbertState, values) -> float:
     return float((dens * values).sum() * state.basis.weight / total)
 
 
-def interacting_component(state: HilbertState, pair: InteractionPair) -> HilbertState:
+def _geometry(basis, pair, geometry):
+    """The caller's geometry of the pair, or a throwaway one."""
+    return geometry if geometry is not None else PairGeometry(basis, pair)
+
+
+def interacting_component(state: HilbertState, pair: InteractionPair,
+                          geometry: PairGeometry | None = None) -> HilbertState:
     """Interaction-weighted component (V/<V>) psi. Grid backend only.
 
     Raises ``DegenerateProjectionError`` when |<V>| falls below
@@ -94,7 +101,7 @@ def interacting_component(state: HilbertState, pair: InteractionPair) -> Hilbert
     basis = state.basis
     if not isinstance(basis, GridBasis):
         raise TypeError("interacting_component needs a grid-backed state")
-    v = potential_field(basis, pair)
+    v = _geometry(basis, pair, geometry).values
     mean = _mean_potential(state, v)
     if abs(mean) <= DEGENERATE_RTOL * pair.potential.max_magnitude():
         raise DegenerateProjectionError(
@@ -102,12 +109,12 @@ def interacting_component(state: HilbertState, pair: InteractionPair) -> Hilbert
     return state.with_amplitudes((v / mean) * state.amplitudes)
 
 
-def _gradient_dot_relative(basis, pair, amp, scheme):
+def _gradient_dot_relative(basis, pair, amp, scheme, geometry):
     """sum_d grad_j V_d * (d_j psi / m_j - d_k psi / m_k), as a field."""
     h = basis.grid.spacing
     mj = basis.particles[pair.j].mass
     mk = basis.particles[pair.k].mass
-    grads = potential_gradient(basis, pair, particle=pair.j)
+    grads = _geometry(basis, pair, geometry).gradient
     out = np.zeros(basis.shape, dtype=np.complex128)
     for d in range(basis.grid.dims):
         dj = derivative1(amp, basis.particle_axis(pair.j, d), h, scheme)
@@ -116,7 +123,8 @@ def _gradient_dot_relative(basis, pair, amp, scheme):
     return out
 
 
-def rate_numerator(state: HilbertState, pair: InteractionPair, scheme="spectral") -> float:
+def rate_numerator(state: HilbertState, pair: InteractionPair, scheme="spectral",
+                   geometry: PairGeometry | None = None) -> float:
     """Magnitude of the interaction-energy drain rate of (V/<V>) psi.
 
     Equal to |d<V>/dt| of the normalized interaction-weighted
@@ -124,13 +132,13 @@ def rate_numerator(state: HilbertState, pair: InteractionPair, scheme="spectral"
     potential derivatives instead of a time difference.
     """
     basis = state.basis
-    comp = normalize(interacting_component(state, pair))
+    comp = normalize(interacting_component(state, pair, geometry))
     amp = comp.amplitudes
     mj = basis.particles[pair.j].mass
     mk = basis.particles[pair.k].mass
-    lap = potential_laplacian(basis, pair)
+    lap = _geometry(basis, pair, geometry).laplacian
     term1 = comp.density() * lap * (0.5 / mj + 0.5 / mk)
-    term2 = amp.conj() * _gradient_dot_relative(basis, pair, amp, scheme)
+    term2 = amp.conj() * _gradient_dot_relative(basis, pair, amp, scheme, geometry)
     integral = (term1 + term2).sum() * basis.weight
     return float(abs(integral))
 
@@ -147,14 +155,14 @@ def _relative_derivative(basis, pair, amp, d, scheme):
     return (mk * dj - mj * dk) / total
 
 
-def _radial_second_derivative(basis, pair, amp, scheme):
+def _radial_second_derivative(basis, pair, amp, scheme, geometry):
     """(rhat . grad_rel)^2 psi; isotropic average where r = 0."""
     dims = basis.grid.dims
     if dims == 1:
         first = _relative_derivative(basis, pair, amp, 0, scheme)
         return _relative_derivative(basis, pair, first, 0, scheme)
-    comps = separation_components(basis, pair.j, pair.k)
-    u = separation_sq(basis, pair.j, pair.k)
+    geometry = _geometry(basis, pair, geometry)
+    comps, u = geometry.separation, geometry.u
     firsts = [_relative_derivative(basis, pair, amp, d, scheme) for d in range(dims)]
     out = np.zeros(basis.shape, dtype=np.complex128)
     trace = np.zeros(basis.shape, dtype=np.complex128)
@@ -168,7 +176,8 @@ def _radial_second_derivative(basis, pair, amp, scheme):
     return np.where(np.broadcast_to(u > 0, out.shape), out, trace / dims)
 
 
-def rate_denominator(state: HilbertState, pair: InteractionPair, scheme="spectral") -> float:
+def rate_denominator(state: HilbertState, pair: InteractionPair, scheme="spectral",
+                     geometry: PairGeometry | None = None) -> float:
     """Energy bound on the interaction-weighted component.
 
     Positive (repulsive) potentials: interaction energy plus the
@@ -180,13 +189,13 @@ def rate_denominator(state: HilbertState, pair: InteractionPair, scheme="spectra
     if pair.potential.sign < 0:
         return rate_denominator_bound_state(pair.potential)
     basis = state.basis
-    comp = normalize(interacting_component(state, pair))
+    comp = normalize(interacting_component(state, pair, geometry))
     amp = comp.amplitudes
     mj = basis.particles[pair.j].mass
     mk = basis.particles[pair.k].mass
     mu = mj * mk / (mj + mk)
-    v = potential_field(basis, pair)
-    radial = _radial_second_derivative(basis, pair, amp, scheme)
+    v = _geometry(basis, pair, geometry).values
+    radial = _radial_second_derivative(basis, pair, amp, scheme, geometry)
     integrand = amp.conj() * (v * amp - radial / mu)
     return float(integrand.sum().real * basis.weight)
 
@@ -205,11 +214,12 @@ def rate_denominator_bound_state(potential, angular_momentum: float = 0.0) -> fl
     return potential.max_magnitude()
 
 
-def rate_params(state: HilbertState, pair: InteractionPair, scheme="spectral") -> RateParams:
+def rate_params(state: HilbertState, pair: InteractionPair, scheme="spectral",
+                geometry: PairGeometry | None = None) -> RateParams:
     """Rate parameter with its two factors; degenerate overlap gives 0."""
     try:
-        num = rate_numerator(state, pair, scheme)
-        den = rate_denominator(state, pair, scheme)
+        num = rate_numerator(state, pair, scheme, geometry)
+        den = rate_denominator(state, pair, scheme, geometry)
     except DegenerateProjectionError:
         return RateParams(0.0, 0.0, 0.0, degenerate=True)
     if not den > 0:
@@ -233,9 +243,12 @@ class CollapseOperator(LinearOperator):
     apply() multiplies by kappa * sqrt(gamma) * (V - <V>) / E_pair,
     where E_pair is the summed rest energy (m_j + m_k) c^2 and kappa
     is a dimensionless study gain (kappa = 1 is the physical setting).
+    ``geometry`` is kept only when the caller passed one in, so a
+    one-shot operator does not pin the pair's fields.
     """
 
-    def __init__(self, centered, gamma_value, energy_denominator, kappa=1.0, pair=None):
+    def __init__(self, centered, gamma_value, energy_denominator, kappa=1.0, pair=None,
+                 geometry=None):
         if not energy_denominator > 0:
             raise ValueError("energy denominator must be positive")
         if gamma_value < 0:
@@ -247,6 +260,7 @@ class CollapseOperator(LinearOperator):
         self.energy_denominator = float(energy_denominator)
         self.kappa = float(kappa)
         self.pair = pair
+        self.geometry = geometry
         self.scaled_values = (self.kappa * np.sqrt(self.gamma) / self.energy_denominator) * self.centered
         self.hermitian = True
 
@@ -259,18 +273,18 @@ class CollapseOperator(LinearOperator):
 
 
 def build_collapse_operator(state, pair, kappa=1.0, c=1.0, scheme="spectral",
-                            gamma_value=None) -> CollapseOperator:
+                            gamma_value=None, geometry=None) -> CollapseOperator:
     """Grid-backend construction; gamma computed from the state unless given."""
     basis = state.basis
     if not isinstance(basis, GridBasis):
         raise TypeError("grid-backed state required; use collapse_from_diagonal "
                         "for finite bases")
-    v = potential_field(basis, pair)
+    v = _geometry(basis, pair, geometry).values
     centered = v - _mean_potential(state, v)
     if gamma_value is None:
-        gamma_value = rate_params(state, pair, scheme).gamma
+        gamma_value = rate_params(state, pair, scheme, geometry).gamma
     e_den = (basis.particles[pair.j].mass + basis.particles[pair.k].mass) * c * c
-    return CollapseOperator(centered, gamma_value, e_den, kappa, pair)
+    return CollapseOperator(centered, gamma_value, e_den, kappa, pair, geometry)
 
 
 def collapse_from_diagonal(state, values, gamma_value, energy_denominator,
@@ -281,9 +295,16 @@ def collapse_from_diagonal(state, values, gamma_value, energy_denominator,
     return CollapseOperator(centered, gamma_value, energy_denominator, kappa)
 
 
-def collapse_sum(state, pairs, kappa=1.0, c=1.0, scheme="spectral") -> list[CollapseOperator]:
-    """One operator per pair, all centered against the same state."""
-    return [build_collapse_operator(state, p, kappa, c, scheme) for p in pairs]
+def collapse_sum(state, pairs, kappa=1.0, c=1.0, scheme="spectral",
+                 geometries=None) -> list[CollapseOperator]:
+    """One operator per pair, all centered against the same state.
+
+    ``geometries`` holds one ``PairGeometry`` per pair, in pair order.
+    """
+    if geometries is None:
+        geometries = (None,) * len(pairs)
+    return [build_collapse_operator(state, p, kappa, c, scheme, geometry=g)
+            for p, g in zip(pairs, geometries, strict=True)]
 
 
 def total_diagonal(ops) -> np.ndarray:

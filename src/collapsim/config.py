@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,8 @@ __all__ = [
     "parse_config_data",
 ]
 
-ARTIFACT_VERSION = 1
+# 2: NaN (an empty branch's conditional expectation) is written as null
+ARTIFACT_VERSION = 2
 
 SCENARIOS = (
     "free_packet",
@@ -242,10 +244,21 @@ def _get(tree, path):
     return node
 
 
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
+def _nonfinite(value) -> bool:
+    # JSON's NaN and Infinity tokens parse to floats; ints are always finite
+    return isinstance(value, float) and not math.isfinite(value)
+
+
 def _number(tree, path, positive=False, nonnegative=False, integer=False):
     value = _get(tree, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(path, "expected a number, got %r" % (value,))
+    if _nonfinite(value):
+        raise ConfigError(path, "must be finite, got %r" % (value,))
     if integer and not float(value).is_integer():
         raise ConfigError(path, "expected an integer, got %r" % (value,))
     if positive and not value > 0:
@@ -260,8 +273,10 @@ def _number_list(tree, path, length=None, positive=False):
     if not isinstance(values, list) or not values:
         raise ConfigError(path, "expected a nonempty list")
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _is_number(v):
             raise ConfigError(path, "expected numbers, got %r" % (v,))
+        if _nonfinite(v):
+            raise ConfigError(path, "entries must be finite, got %r" % (v,))
         if positive and not v > 0:
             raise ConfigError(path, "entries must be positive, got %r" % (v,))
     if length is not None and len(values) != length:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collapse import total_diagonal
-from .operators import derivative1, potential_gradient, potential_laplacian
+from .operators import PairGeometry, derivative1
 from .state import GridBasis, HilbertState
 
 __all__ = [
@@ -247,8 +247,9 @@ def _diagonal_derivative_fields(basis: GridBasis, collapse_ops, scheme: str):
     derivative sum of the full collapse diagonal.
 
     Operators carrying their interaction pair use the closed-form
-    potential derivatives (exact, no ringing at the wrap seam); bare
-    diagonals fall back to numerical differentiation.
+    potential derivatives (exact, no ringing at the wrap seam), read
+    from the operator's pair geometry when it kept one; bare diagonals
+    fall back to numerical differentiation.
     """
     h = basis.grid.spacing
     dims = basis.grid.dims
@@ -258,13 +259,14 @@ def _diagonal_derivative_fields(basis: GridBasis, collapse_ops, scheme: str):
         factor = op.kappa * np.sqrt(op.gamma) / op.energy_denominator
         if op.pair is not None:
             pair = op.pair
-            lap = potential_laplacian(basis, pair)
-            for particle in (pair.j, pair.k):
-                comps = potential_gradient(basis, pair, particle)
+            geometry = op.geometry if op.geometry is not None else PairGeometry(basis, pair)
+            lap = geometry.laplacian
+            # grad_k V = -grad_j V exactly
+            for particle, orient in ((pair.j, 1.0), (pair.k, -1.0)):
                 mass = basis.particles[particle].mass
                 for d in range(dims):
                     axis = basis.particle_axis(particle, d)
-                    grads[axis] = grads[axis] + factor * comps[d]
+                    grads[axis] = grads[axis] + orient * factor * geometry.gradient[d]
                 weighted_lap = weighted_lap + factor * lap / (2.0 * mass)
         else:
             for axis in range(basis.n_axes):

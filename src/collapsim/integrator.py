@@ -32,16 +32,16 @@ from .operators import (
     KineticOperator,
     LinearOperator,
     MomentumOperator,
+    PairGeometry,
+    _geometries,
     hamiltonian_operator,
     kinetic_symbol,
-    potential_field,
 )
 from .state import (
     FiniteBasis,
     GridBasis,
     HilbertState,
     branch_decompose,
-    expectation,
     norm,
 )
 
@@ -85,15 +85,15 @@ class IntegratorConfig:
     record_observables: tuple = ()
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if self.kappa < 0.0:
+        if not self.kappa >= 0.0:
             raise ValueError("kappa must be non-negative")
-        if self.c <= 0.0:
+        if not self.c > 0.0:
             raise ValueError("c must be positive")
         if not 0.0 < self.absorb_threshold < 0.5:
             raise ValueError("absorb_threshold must lie in (0, 0.5)")
@@ -118,10 +118,15 @@ class IntegratorConfig:
 
 
 class UnitaryStepper:
-    """Cached one-step propagator for the deterministic sub-step."""
+    """Cached one-step propagator for the deterministic sub-step.
+
+    On a grid the pair potentials come from ``geometries`` (one
+    ``PairGeometry`` per pair) when given, else they are computed here.
+    """
 
     def __init__(self, basis, dt: float, scheme: str = "split_step_spectral",
-                 pairs: tuple = (), hamiltonian: LinearOperator | None = None):
+                 pairs: tuple = (), hamiltonian: LinearOperator | None = None,
+                 geometries=None):
         self.dt = float(dt)
         self.scheme = scheme
         if isinstance(basis, GridBasis):
@@ -137,8 +142,8 @@ class UnitaryStepper:
                 self._kinetic_phase = (1.0 - half) / (1.0 + half)
             if pairs:
                 v_total = np.zeros(basis.shape)
-                for pair in pairs:
-                    v_total = v_total + potential_field(basis, pair)
+                for geometry in _geometries(basis, pairs, geometries):
+                    v_total = v_total + geometry.values
                 self._half_potential_phase = np.exp(-0.5j * dt * v_total)
             else:
                 self._half_potential_phase = None
@@ -258,7 +263,7 @@ class TrajectoryRecord:
         return float(np.max(np.abs(self.norms_before_renormalize - 1.0)))
 
 
-def _build_observables(basis, names, config, pairs, hamiltonian):
+def _build_observables(basis, names, config, pairs, hamiltonian, geometries):
     ops = {}
     scheme = config.derivative_scheme
     for name in names:
@@ -272,7 +277,8 @@ def _build_observables(basis, names, config, pairs, hamiltonian):
             elif name == "kinetic":
                 ops[name] = KineticOperator(basis, scheme=scheme)
             elif name == "energy":
-                ops[name] = hamiltonian_operator(basis, pairs, scheme=scheme)
+                ops[name] = hamiltonian_operator(basis, pairs, scheme=scheme,
+                                                 geometries=geometries)
             else:
                 raise ValueError(f"unknown observable {name!r}")
         else:
@@ -283,10 +289,9 @@ def _build_observables(basis, names, config, pairs, hamiltonian):
     return ops
 
 
-def _branch_conditional(state, op, in_mask, out_mask):
-    """Branch-normalized expectations (nan where a branch is empty)."""
-    amp = state.amplitudes
-    applied = op.apply(amp)
+def _branch_conditional(amp, applied, in_mask, out_mask):
+    """Branch-normalized expectations of an observable whose action on
+    ``amp`` is ``applied`` (nan where a branch is empty)."""
     local = (np.conj(amp) * applied).real
     dens = (np.conj(amp) * amp).real
     out = []
@@ -296,10 +301,11 @@ def _branch_conditional(state, op, in_mask, out_mask):
     return out
 
 
-def _collapse_ops_for(state, pairs, config, finite_potential):
+def _collapse_ops_for(state, pairs, config, finite_potential, geometries):
     if pairs:
         return collapse_sum(state, pairs, kappa=config.kappa, c=config.c,
-                            scheme=config.derivative_scheme)
+                            scheme=config.derivative_scheme,
+                            geometries=geometries)
     if finite_potential is not None:
         if config.gamma_override is None or config.energy_denominator is None:
             raise ValueError(
@@ -318,22 +324,27 @@ def run_trajectory(initial: HilbertState, config: IntegratorConfig, pairs=(), se
     """Integrate one stochastic trajectory from ``initial``.
 
     Grid runs derive the collapse operator of every pair afresh each
-    step (the rate tracks the evolving state); finite-basis runs reuse
-    the supplied diagonal with the configured rate. Recording happens
+    step (the rate tracks the evolving state) from one ``PairGeometry``
+    per pair, built once here and shared with the unitary stepper and
+    the energy observable; finite-basis runs reuse the supplied diagonal
+    with the configured rate. Recording happens
     at step multiples of ``record_every`` plus the initial and final
     points. ``per_step(step_index, state, ops, increment)`` is invoked
     before each step for callers that accumulate extra diagnostics.
     """
     basis = initial.basis
     pairs = tuple(pairs)
+    geometries = None
     if isinstance(basis, GridBasis):
         config.validate_grid(basis)
-        stepper = UnitaryStepper(basis, config.dt, scheme=config.scheme, pairs=pairs)
+        geometries = tuple(PairGeometry(basis, pair) for pair in pairs)
+        stepper = UnitaryStepper(basis, config.dt, scheme=config.scheme, pairs=pairs,
+                                 geometries=geometries)
     else:
         stepper = UnitaryStepper(basis, config.dt, scheme=config.scheme,
                                  hamiltonian=hamiltonian)
     observables = _build_observables(basis, config.record_observables, config,
-                                     pairs, hamiltonian)
+                                     pairs, hamiltonian, geometries)
     wiener = WienerProcess(seed, real_noise=config.real_noise)
 
     state = initial
@@ -359,19 +370,22 @@ def run_trajectory(initial: HilbertState, config: IntegratorConfig, pairs=(), se
             out_mask = ~in_mask
         w_in_series.append(w_in)
         w_out_series.append(w_out)
+        amp = state.amplitudes
         for name, op in observables.items():
+            applied = op.apply(amp)
             # every supported observable is hermitian: record the real part
-            exp_series[name].append(expectation(op, state).real)
-            cond = _branch_conditional(state, op, in_mask, out_mask)
+            full = np.vdot(amp, applied) / np.vdot(amp, amp).real
+            exp_series[name].append(complex(full).real)
+            cond = _branch_conditional(amp, applied, in_mask, out_mask)
             exp_series[name + "_in"].append(cond[0])
             exp_series[name + "_out"].append(cond[1])
         return w_in
 
-    ops = _collapse_ops_for(state, pairs, config, finite_potential)
+    ops = _collapse_ops_for(state, pairs, config, finite_potential, geometries)
     record(state, ops)
     for step in range(config.n_steps):
         if step > 0:
-            ops = _collapse_ops_for(state, pairs, config, finite_potential)
+            ops = _collapse_ops_for(state, pairs, config, finite_potential, geometries)
         needs_noise = bool(ops) and bool(np.any(total_diagonal(ops) != 0.0))
         increment = wiener.increment(config.dt) if needs_noise else 0.0
         if per_step is not None:

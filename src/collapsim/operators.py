@@ -10,11 +10,25 @@ Grid derivative operators come in two discretizations:
 Pair potentials are functions of the minimum-image separation of two
 particles, with analytic gradients and Laplacians (no finite
 differencing of potential fields anywhere).
+
+A ``PairGeometry`` holds the state-independent fields of one pair on
+one grid basis: the separation components, their squared length u, and
+(each computed on first use, then kept) the potential V, its gradient
+with respect to the first particle, and its Laplacian. The gradient
+with respect to the second particle is the exact negative of the
+first, so only one is stored. ``run_trajectory`` builds one geometry
+per pair next to its unitary stepper and hands it to every per-step
+consumer, so the fields are computed once per run and freed with it;
+there is no cache that outlives the run. Callers that pass no geometry
+get a throwaway one per call, so a one-shot evaluation holds no more
+full-size fields than it needs. The public ``potential_*`` functions
+are reads of such a throwaway geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +46,8 @@ __all__ = [
     "SoftCoulomb",
     "GaussianWell",
     "InteractionPair",
+    "PairGeometry",
     "separation_components",
-    "separation_sq",
     "potential_field",
     "potential_gradient",
     "potential_laplacian",
@@ -297,17 +311,57 @@ def separation_components(basis: GridBasis, j: int, k: int) -> list[np.ndarray]:
     return out
 
 
-def separation_sq(basis: GridBasis, j: int, k: int) -> np.ndarray:
-    comps = separation_components(basis, j, k)
-    u = comps[0] ** 2
-    for c in comps[1:]:
-        u = u + c ** 2
-    return u
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    # geometry fields are shared by every step of a run; a consumer that
+    # wrote into one would corrupt all later steps
+    arr.flags.writeable = False
+    return arr
+
+
+class PairGeometry:
+    """State-independent fields of one interaction pair on one grid basis.
+
+    ``separation`` (minimum-image components of x_j - x_k, broadcastable)
+    and ``u`` (their squared length) come from a single separation
+    computation at construction; ``values``, ``gradient`` and
+    ``laplacian`` are derived from ``u`` on first access and kept. All
+    fields are read-only. The geometry lives as long as its owner: a
+    run keeps one per pair for its duration, nothing caches it beyond.
+    """
+
+    def __init__(self, basis: GridBasis, pair: InteractionPair):
+        self.basis = basis
+        self.pair = pair
+        comps = [_frozen(c) for c in separation_components(basis, pair.j, pair.k)]
+        u = comps[0] ** 2
+        for c in comps[1:]:
+            u = u + c ** 2
+        self.separation = comps
+        self.u = _frozen(u)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Diagonal potential values over configuration space."""
+        return _frozen(self.pair.potential.value_u(self.u))
+
+    @cached_property
+    def gradient(self) -> tuple[np.ndarray, ...]:
+        """grad_j V, one field per spatial dimension; grad_k V = -grad_j V."""
+        dv = self.pair.potential.dvalue_u(self.u)
+        return tuple(_frozen(2.0 * c * dv) for c in self.separation)
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        """lap V w.r.t. either particle: 2 D V'(u) + 4 u V''(u) in D dims."""
+        u = self.u
+        d = self.basis.grid.dims
+        potential = self.pair.potential
+        return _frozen(2.0 * d * potential.dvalue_u(u) + 4.0 * u * potential.d2value_u(u))
 
 
 def potential_field(basis: GridBasis, pair: InteractionPair) -> np.ndarray:
     """Diagonal potential values over configuration space."""
-    return pair.potential.value_u(separation_sq(basis, pair.j, pair.k))
+    return PairGeometry(basis, pair).values
 
 
 def potential_gradient(basis: GridBasis, pair: InteractionPair, particle: int) -> list[np.ndarray]:
@@ -317,18 +371,12 @@ def potential_gradient(basis: GridBasis, pair: InteractionPair, particle: int) -
     two members are exact negatives of each other at every grid point:
     grad_k V = -grad_j V, since V depends only on x_j - x_k.
     """
-    if particle == pair.j:
-        orient = 1.0
-    elif particle == pair.k:
-        orient = -1.0
-    else:
+    if particle not in (pair.j, pair.k):
         raise ValueError("particle %d is not a member of the pair" % particle)
-    comps = separation_components(basis, pair.j, pair.k)
-    u = comps[0] ** 2
-    for c in comps[1:]:
-        u = u + c ** 2
-    dv = pair.potential.dvalue_u(u)
-    return [orient * 2.0 * c * dv for c in comps]
+    grad = PairGeometry(basis, pair).gradient
+    if particle == pair.j:
+        return list(grad)
+    return [-g for g in grad]
 
 
 def potential_laplacian(basis: GridBasis, pair: InteractionPair) -> np.ndarray:
@@ -337,9 +385,14 @@ def potential_laplacian(basis: GridBasis, pair: InteractionPair) -> np.ndarray:
     For V(u), u = |r|^2 in D spatial dimensions:
     lap V = 2 D V'(u) + 4 u V''(u).
     """
-    u = separation_sq(basis, pair.j, pair.k)
-    d = basis.grid.dims
-    return 2.0 * d * pair.potential.dvalue_u(u) + 4.0 * u * pair.potential.d2value_u(u)
+    return PairGeometry(basis, pair).laplacian
+
+
+def _geometries(basis: GridBasis, pairs, geometries):
+    """The caller's geometries, or throwaway ones built one at a time."""
+    if geometries is not None:
+        return geometries
+    return (PairGeometry(basis, pair) for pair in pairs)
 
 
 def kinetic_symbol(basis: GridBasis, scheme="spectral") -> np.ndarray:
@@ -365,14 +418,20 @@ def kinetic_symbol(basis: GridBasis, scheme="spectral") -> np.ndarray:
     return total
 
 
-def hamiltonian_operator(basis: GridBasis, pairs, scheme="spectral") -> LinearOperator:
-    """Kinetic term plus the summed pair-potential diagonal."""
+def hamiltonian_operator(basis: GridBasis, pairs, scheme="spectral",
+                         geometries=None) -> LinearOperator:
+    """Kinetic term plus the summed pair-potential diagonal.
+
+    ``geometries``, one ``PairGeometry`` per pair, supplies the potential
+    values; without it each pair's values are computed here.
+    """
     kin = KineticOperator(basis, scheme)
     if not pairs:
         return kin
-    v = potential_field(basis, pairs[0])
-    for pair in pairs[1:]:
-        v = v + potential_field(basis, pair)
+    fields = iter(_geometries(basis, pairs, geometries))
+    v = next(fields).values
+    for geometry in fields:
+        v = v + geometry.values
     return SumOperator(kin, DiagonalOperator(v))
 
 

@@ -59,7 +59,7 @@ def test_free_packet_run_and_artifact_shape(tmp_path):
     assert main(["run", path]) == 0
     body = read_artifact(tmp_path, "free_packet")
     assert body["status"] == "ok"
-    assert body["artifact_version"] == 1
+    assert body["artifact_version"] == 2
     assert body["scenario"] == "free_packet"
     assert len(body["config_hash"]) == 64
     assert len(body["times"]) == 5
@@ -71,6 +71,32 @@ def test_free_packet_run_and_artifact_shape(tmp_path):
     assert csv_lines[0].startswith("# config_hash=%s" % body["config_hash"])
     assert csv_lines[1] == "time,momentum,kinetic"
     assert len(csv_lines) == 7
+
+
+def _reject_constant(token):
+    raise ValueError("non-standard JSON token %s" % token)
+
+
+@pytest.mark.parametrize("scenario, overrides", [
+    ("free_packet", {"numerics": {"n_steps": 40, "record_every": 10}}),
+    ("two_level_collapse", {"numerics": {"n_steps": 200},
+                            "ensemble": {"n_traj": 20}}),
+    ("walk_scan", {"walk": {"weights": [0.3, 0.7]},
+                   "ensemble": {"n_traj": 200}}),
+])
+def test_artifacts_are_strict_json(tmp_path, scenario, overrides):
+    path = write_config(tmp_path, "%s.json" % scenario,
+                        dict(overrides, scenario=scenario,
+                             output={"directory": str(tmp_path / "art")}))
+    assert main(["run", path]) == 0
+    text = (tmp_path / "art" / ("%s.json" % scenario)).read_text()
+    body = json.loads(text, parse_constant=_reject_constant)
+    assert body["status"] == "ok"
+    if scenario == "free_packet":
+        # a collapse-free run has an empty in-branch: its conditional
+        # expectations are undefined and written as null
+        assert body["expectations"]["momentum_in"] == [None] * 5
+        assert all(v is not None for v in body["expectations"]["momentum"])
 
 
 def test_artifacts_byte_identical_across_reruns(tmp_path):

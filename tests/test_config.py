@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from collapsim.cli import main
 from collapsim.config import (
     SCENARIOS,
     ConfigError,
@@ -228,3 +229,42 @@ def test_parse_config_file_errors(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"scenario": "thermal"}))
     assert parse_config(str(good)).scenario == "thermal"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_nonfinite_numbers_rejected_with_path(value):
+    cases = [
+        ({"scenario": "free_packet", "initial": {"momenta": [value]}},
+         "initial.momenta"),
+        ({"scenario": "grid_scattering",
+          "physics": {"potential": {"depth": value}}},
+         "physics.potential.depth"),
+        ({"scenario": "two_level_collapse", "levels": {"gamma": value}},
+         "levels.gamma"),
+        ({"scenario": "free_packet", "numerics": {"dt": value}},
+         "numerics.dt"),
+    ]
+    for data, path in cases:
+        with pytest.raises(ConfigError, match="finite") as err:
+            parse_config_data(data)
+        assert err.value.path == path, path
+
+
+def test_nonfinite_tokens_in_config_file_exit_2(tmp_path, capsys):
+    # json.dumps writes the NaN and Infinity tokens json.load accepts
+    nan_path = tmp_path / "nan.json"
+    nan_path.write_text(json.dumps({"scenario": "free_packet",
+                                    "initial": {"momenta": [float("nan")]}}))
+    assert "NaN" in nan_path.read_text()
+    assert main(["validate", str(nan_path)]) == 2
+    assert "initial.momenta" in capsys.readouterr().err
+
+    inf_path = tmp_path / "inf.json"
+    inf_path.write_text(json.dumps({
+        "scenario": "grid_scattering",
+        "physics": {"potential": {"depth": float("inf")}},
+        "output": {"directory": str(tmp_path / "art")}}))
+    assert "Infinity" in inf_path.read_text()
+    assert main(["run", str(inf_path)]) == 2
+    assert "physics.potential.depth" in capsys.readouterr().err
+    assert not (tmp_path / "art").exists()

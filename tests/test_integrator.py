@@ -25,6 +25,7 @@ from collapsim.operators import (
     GaussianWell,
     InteractionPair,
     MatrixOperator,
+    SoftCoulomb,
     hamiltonian_operator,
 )
 from collapsim.state import (
@@ -101,6 +102,10 @@ def test_config_validation_rejects_bad_values():
         IntegratorConfig(**good, absorb_threshold=0.5)
     with pytest.raises(ValueError):
         IntegratorConfig(**good, record_every=0)
+    nan = float("nan")
+    for bad in (dict(dt=nan), dict(dt=0.01, kappa=nan), dict(dt=0.01, c=nan)):
+        with pytest.raises(ValueError):
+            IntegratorConfig(n_steps=3, **bad)
     cfg = IntegratorConfig(**good)
     assert cfg.derivative_scheme == "spectral"
     assert IntegratorConfig(**good, scheme="crank_nicolson_stencil").derivative_scheme == "stencil"
@@ -450,3 +455,33 @@ def test_run_ensemble_requires_positive_count():
     with pytest.raises(ValueError):
         run_ensemble(_two_level(0.5), cfg, n_trajectories=0,
                      finite_potential=TWO_LEVEL_DIAG)
+
+
+@pytest.mark.parametrize("potential", [GaussianWell(-2.0, 1.0),
+                                       SoftCoulomb(1.0, 0.5)])
+def test_pair_geometry_is_computed_once_per_run(monkeypatch, potential):
+    # the potential never changes between steps: a longer run must not
+    # evaluate it more often (the repulsive case also takes the radial
+    # rate-denominator path)
+    calls = []
+    original = type(potential).value_u
+
+    def counting(self, u):
+        calls.append(1)
+        return original(self, u)
+
+    monkeypatch.setattr(type(potential), "value_u", counting)
+    basis = GridBasis(GridSpec(2, 8, 4.0), (ParticleSpec(1.0), ParticleSpec(1.5)))
+    pair = InteractionPair(0, 1, potential)
+    state = normalize(gaussian_packet(basis, (-0.7, -0.35, 0.7, 0.35), (1.0,) * 4,
+                                      (0.6, 0.0, -0.6, 0.0)))
+    counts = []
+    for n_steps in (10, 20):
+        calls.clear()
+        cfg = IntegratorConfig(dt=0.008, n_steps=n_steps, kappa=1.0, record_every=5,
+                               stop_on_absorb=False,
+                               record_observables=("momentum", "kinetic", "energy"))
+        rec = run_trajectory(state, cfg, pairs=(pair,), seed=2)
+        assert rec.steps_taken == n_steps
+        counts.append(len(calls))
+    assert 0 < counts[0] == counts[1]

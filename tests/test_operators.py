@@ -11,6 +11,7 @@ from collapsim.operators import (
     KineticOperator,
     MatrixOperator,
     MomentumOperator,
+    PairGeometry,
     SoftCoulomb,
     commutator_residual,
     derivative1,
@@ -18,7 +19,6 @@ from collapsim.operators import (
     potential_field,
     potential_gradient,
     potential_laplacian,
-    separation_sq,
 )
 from collapsim.state import GridBasis, GridSpec, HilbertState, ParticleSpec, expectation, gaussian_packet, normalize
 
@@ -260,6 +260,18 @@ def test_translation_invariance_under_grid_shift():
     assert np.array_equal(np.roll(v, (3, 3), axis=(0, 1)), v)
 
 
+def test_pair_geometry_fields_are_kept_and_read_only():
+    basis = pair_basis(n=16, extent=4.0, m2=1.5, dims=2)
+    geometry = PairGeometry(basis, InteractionPair(0, 1, SoftCoulomb(1.2, 0.6)))
+    # computed once, then shared: a write would corrupt every later step
+    assert geometry.values is geometry.values
+    assert geometry.gradient is geometry.gradient
+    for field in (geometry.values, geometry.laplacian, geometry.u,
+                  *geometry.gradient, *geometry.separation):
+        with pytest.raises(ValueError):
+            field[...] = 0.0
+
+
 def test_pair_potential_validation():
     with pytest.raises(ValueError):
         SoftCoulomb(1.0, 0.0)
@@ -273,7 +285,8 @@ def test_pair_potential_validation():
 
 def test_separation_is_minimum_image():
     basis = pair_basis(n=16, extent=4.0)
-    u = np.broadcast_to(separation_sq(basis, 0, 1), basis.shape)
+    pair = InteractionPair(0, 1, SoftCoulomb(1.0, 1.0))
+    u = np.broadcast_to(PairGeometry(basis, pair).u, basis.shape)
     # max separation on a periodic box of span 8 is 4, so u <= 16
     assert u.max() <= 16.0 + 1e-12
 
