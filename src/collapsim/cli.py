@@ -30,16 +30,13 @@ import tempfile
 
 import numpy as np
 
-from .collapse import collapse_sum
 from .config import (ARTIFACT_VERSION, ConfigError, RunConfig, parse_config,
                      parse_config_data)
-from .diagnostics import (ConservationGapTracker, DeviationAccumulator,
-                          pointwise_proportionality_check)
+from .diagnostics import (DeviationAccumulator, attributed_gap,
+                          identity_residual)
 from .experiments import eraser_sweep, thermal_estimate
 from .integrator import run_ensemble, run_trajectory
-from .state import GridBasis, GridSpec, ParticleSpec, gaussian_packet, normalize
-from .operators import (AngularMomentumZOperator, GaussianWell,
-                        InteractionPair, MomentumOperator)
+from .operators import AngularMomentumZOperator, MomentumOperator
 from .walk import born_linearity_scan
 
 __all__ = ["main"]
@@ -133,7 +130,6 @@ def _run_grid_trajectories(cfg: RunConfig):
     state = cfg.initial_state(basis)
     pairs = cfg.pairs()
     icfg = cfg.integrator_config()
-    icfg.validate_grid(basis)
     budget = DeviationAccumulator(scheme=icfg.derivative_scheme)
 
     def watch(step, current, ops, increment):
@@ -227,135 +223,39 @@ def _run_thermal(cfg: RunConfig):
     return body, (["field", "value"], rows)
 
 
-# deterministic probe used by the static identity checks
-_PROBE_INCREMENT = complex(0.021, -0.013)
-
-
-def _drift_residuals(cfg, basis, state, pairs, kappa, n_steps, dt, q_op,
-                     dt_path):
-    icfg = cfg.integrator_config(scheme="crank_nicolson_stencil",
-                                 n_steps=n_steps, dt=dt, kappa=kappa,
-                                 record_every=n_steps, record_observables=())
-    try:
-        icfg.validate_grid(basis)
-    except ValueError as exc:
-        # the refined grid tightens the stencil bound past what config
-        # validation saw at the base resolution
-        raise ConfigError(dt_path, str(exc)) from exc
-    tracker = ConservationGapTracker(q_op, dt)
-    rec = run_trajectory(state, icfg, pairs=pairs, seed=cfg.master_seed,
-                         per_step=tracker)
-    tracker.finish(rec.final_state)
-    return np.asarray(tracker.residuals)
-
-
-def _attributed_gap(cfg, basis, state, pairs, n_steps, dt, q_op, dt_path,
-                    subtract_control):
-    """Cumulative drift of the tracked observable charged to the noise.
-
-    For the angular block a collapse-free control run with the same
-    clock is subtracted step by step: a square box leaks a little
-    angular momentum through the coordinate seam even in exact
-    arithmetic, and that leak must not masquerade as stencil error.
-    """
-    kappa = float(cfg.section("physics")["kappa"])
-    on = _drift_residuals(cfg, basis, state, pairs, kappa, n_steps, dt, q_op,
-                          dt_path)
-    if not subtract_control:
-        return abs(float(np.sum(on)))
-    off = _drift_residuals(cfg, basis, state, pairs, 0.0, n_steps, dt, q_op,
-                           dt_path)
-    return abs(float(np.sum(on - off)))
-
-
-def _identity_residual(state, pairs, kappa, c, q_op, scheme, dt):
-    ops = collapse_sum(state, pairs, kappa=kappa, c=c, scheme=scheme)
-    return pointwise_proportionality_check(state, ops, _PROBE_INCREMENT,
-                                           q_op, dt)
-
-
-def _momentum_system(cfg: RunConfig, points: int):
-    grid_cfg = cfg.section("grid")
-    grid = GridSpec(dims=int(grid_cfg["dims"]), points_per_axis=points,
-                    extent=float(grid_cfg["extent"]))
-    masses = cfg.section("physics")["masses"]
-    basis = GridBasis(grid, tuple(ParticleSpec(float(m)) for m in masses))
-    return basis, cfg.initial_state(basis), cfg.pairs()
-
-
-def _angular_system(cfg: RunConfig, points: int):
-    section = cfg.section("angular")
-    grid = GridSpec(dims=2, points_per_axis=points,
-                    extent=float(section["extent"]))
-    masses = cfg.section("physics")["masses"]
-    basis = GridBasis(grid, tuple(ParticleSpec(float(m)) for m in masses))
-    sep, off = float(section["separation"]), float(section["impact_offset"])
-    width, k = float(section["width"]), float(section["momentum"])
-    state = normalize(gaussian_packet(basis,
-                                      centers=(-sep, -off, sep, off),
-                                      widths=(width,) * 4,
-                                      momenta=(k, 0.0, -k, 0.0)))
-    return basis, state, cfg.pairs()
-
-
-def _angular_spectral_system(cfg: RunConfig):
-    section = cfg.section("angular")["spectral"]
-    grid = GridSpec(dims=2, points_per_axis=int(section["points_per_axis"]),
-                    extent=float(section["extent"]))
-    masses = cfg.section("physics")["masses"]
-    basis = GridBasis(grid, tuple(ParticleSpec(float(m)) for m in masses))
-    sep, width, k = (float(section["separation"]), float(section["width"]),
-                     float(section["momentum"]))
-    state = normalize(gaussian_packet(basis,
-                                      centers=(-sep, 0.0, sep, 0.0),
-                                      widths=(width,) * 4,
-                                      momenta=(k, 0.0, -k, 0.0)))
-    pairs = [InteractionPair(0, 1, GaussianWell(float(section["depth"]),
-                                                float(section["well_width"])))]
-    return basis, state, pairs
-
-
 def _run_conservation(cfg: RunConfig):
-    num = cfg.section("numerics")
-    ang = cfg.section("angular")
     tol = cfg.section("tolerances")
-    physics = cfg.section("physics")
-    kappa, c = float(physics["kappa"]), float(physics["c"])
-
     blocks = {}
-    for observable, make, q_cls, coarse, steps, dt, dt_path, control in (
-            ("momentum", _momentum_system, MomentumOperator,
-             int(cfg.section("grid")["points_per_axis"]),
-             int(num["n_steps"]), float(num["dt"]), "numerics.dt", False),
-            ("angular_momentum", _angular_system, AngularMomentumZOperator,
-             int(ang["points_per_axis"]), int(ang["n_steps"]),
-             float(ang["dt"]), "angular.dt", True)):
-        gaps, identities = {}, {}
+    for observable, section, q_cls in (
+            ("momentum", "numerics", MomentumOperator),
+            ("angular_momentum", "angular", AngularMomentumZOperator)):
+        icfg = cfg.suite_integrator_config(section)
+        angular = section == "angular"
+        coarse = int(cfg.section("angular" if angular else "grid")["points_per_axis"])
+        gaps, identities = [], []
         for points in (coarse, 2 * coarse):
-            basis, state, pairs = make(cfg, points)
+            if angular:
+                basis, state, pairs = cfg.angular_system(points)
+            else:
+                basis = cfg.grid_basis(points)
+                state, pairs = cfg.initial_state(basis), cfg.pairs()
             q_op = q_cls(basis, scheme="stencil")
-            gaps[points] = _attributed_gap(cfg, basis, state, pairs, steps,
-                                           dt, q_op, dt_path, control)
-            identities[points] = _identity_residual(state, pairs, kappa, c,
-                                                    q_op, "stencil", dt)
-        if observable == "momentum":
-            spectral_basis, spectral_state, spectral_pairs = make(cfg,
-                                                                  2 * coarse)
-        else:
-            spectral_basis, spectral_state, spectral_pairs = \
-                _angular_spectral_system(cfg)
-        spectral_residual = _identity_residual(
-            spectral_state, spectral_pairs, kappa, c,
-            q_cls(spectral_basis, scheme="spectral"), "spectral", dt)
+            gaps.append(attributed_gap(state, pairs, q_op, icfg, cfg.master_seed,
+                                       subtract_control=angular))
+            identities.append(identity_residual(state, pairs, q_op, icfg))
+        if angular:
+            basis, state, pairs = cfg.angular_system(spectral=True)
+        # the momentum block probes its fine stencil system spectrally
+        spectral_residual = identity_residual(
+            state, pairs, q_cls(basis, scheme="spectral"), icfg)
         blocks[observable] = {
             "points": [coarse, 2 * coarse],
-            "coarse_gap": gaps[coarse],
-            "fine_gap": gaps[2 * coarse],
-            "gap_ratio": (gaps[coarse] / gaps[2 * coarse]
-                          if gaps[2 * coarse] > 0.0 else float("inf")),
-            "identity_ratio": (identities[coarse] / identities[2 * coarse]
-                               if identities[2 * coarse] > 0.0
-                               else float("inf")),
+            "coarse_gap": gaps[0],
+            "fine_gap": gaps[1],
+            "gap_ratio": (gaps[0] / gaps[1] if gaps[1] > 0.0
+                          else float("inf")),
+            "identity_ratio": (identities[0] / identities[1]
+                               if identities[1] > 0.0 else float("inf")),
             "spectral_residual": spectral_residual,
         }
 
@@ -491,9 +391,6 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             body, table = runner(cfg)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
     except FloatingPointError as exc:
         payload = _envelope(cfg)
         payload.update({"status": "aborted", "partial": True,

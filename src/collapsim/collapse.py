@@ -21,24 +21,20 @@ geometry at each point of use.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import (
-    GaussianWell,
     InteractionPair,
     LinearOperator,
     PairGeometry,
-    SoftCoulomb,
     derivative1,
 )
 from .state import GridBasis, HilbertState, normalize
 
 __all__ = [
     "DegenerateProjectionError",
-    "DegenerateProjectionWarning",
     "RateParams",
     "CollapseOperator",
     "interacting_component",
@@ -46,7 +42,6 @@ __all__ = [
     "rate_denominator",
     "rate_denominator_bound_state",
     "rate_params",
-    "gamma",
     "build_collapse_operator",
     "collapse_from_diagonal",
     "collapse_sum",
@@ -61,10 +56,6 @@ DEGENERATE_RTOL = 1e-14
 
 class DegenerateProjectionError(ValueError):
     """The interaction expectation is zero: no interacting component."""
-
-
-class DegenerateProjectionWarning(UserWarning):
-    pass
 
 
 @dataclass(frozen=True)
@@ -226,15 +217,6 @@ def rate_params(state: HilbertState, pair: InteractionPair, scheme="spectral",
         # an unbound ratio has no collapse interpretation; treat as off
         return RateParams(num, den, 0.0, degenerate=True)
     return RateParams(num, den, num / den, degenerate=False)
-
-
-def gamma(state: HilbertState, pair: InteractionPair, scheme="spectral") -> float:
-    """Collapse rate parameter; 0 (with a warning) on degenerate overlap."""
-    params = rate_params(state, pair, scheme)
-    if params.degenerate:
-        warnings.warn("no interacting component; rate set to 0",
-                      DegenerateProjectionWarning, stacklevel=2)
-    return params.gamma
 
 
 class CollapseOperator(LinearOperator):

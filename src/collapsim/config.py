@@ -24,7 +24,7 @@ from .operators import GaussianWell, InteractionPair, SoftCoulomb
 from .state import FiniteBasis, GridBasis, GridSpec, ParticleSpec, finite_state, gaussian_packet, normalize
 from .walk import MODES as WALK_MODES
 from .walk import WalkConfig
-from .experiments import EraserConfig, ThermalInput
+from .experiments import ThermalInput
 
 __all__ = [
     "SCENARIOS",
@@ -291,6 +291,33 @@ def _choice(tree, path, options):
     return value
 
 
+def _grid_spec(tree, path, dims) -> GridSpec:
+    """The grid of a section that carries ``points_per_axis`` and ``extent``."""
+    try:
+        return GridSpec(dims=dims,
+                        points_per_axis=int(_get(tree, path + ".points_per_axis")),
+                        extent=float(_get(tree, path + ".extent")))
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _grid_basis(tree, dims, points, extent) -> GridBasis:
+    grid = GridSpec(dims=int(dims), points_per_axis=int(points),
+                    extent=float(extent))
+    masses = _get(tree, "physics.masses")
+    return GridBasis(grid, tuple(ParticleSpec(float(m)) for m in masses))
+
+
+def _check_stencil_dt(tree, path, dims, points, extent) -> None:
+    """Stencil stability of the time step at ``path`` on the given grid."""
+    config = IntegratorConfig(dt=float(_get(tree, path)), n_steps=1,
+                              scheme="crank_nicolson_stencil")
+    try:
+        config.validate_grid(_grid_basis(tree, dims, points, extent))
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def _validate(scenario: str, tree: dict) -> None:
     _choice(tree, "backend", ("grid", "finite"))
     if "output" in tree:
@@ -311,12 +338,7 @@ def _validate(scenario: str, tree: dict) -> None:
         _number(tree, "grid.dims", positive=True, integer=True)
         _number(tree, "grid.points_per_axis", positive=True, integer=True)
         _number(tree, "grid.extent", positive=True)
-        try:
-            grid = GridSpec(dims=int(_get(tree, "grid.dims")),
-                            points_per_axis=int(_get(tree, "grid.points_per_axis")),
-                            extent=float(_get(tree, "grid.extent")))
-        except ValueError as exc:
-            raise ConfigError("grid", str(exc)) from exc
+        grid = _grid_spec(tree, "grid", int(_get(tree, "grid.dims")))
         _number_list(tree, "physics.masses", length=n_particles, positive=True)
         _number_list(tree, "physics.charges", length=n_particles)
         _number(tree, "physics.c", positive=True)
@@ -349,15 +371,10 @@ def _validate(scenario: str, tree: dict) -> None:
         observables = _get(tree, "numerics.record_observables")
         if not isinstance(observables, list):
             raise ConfigError("numerics.record_observables", "expected a list")
-        if (scenario in _GRID_PARTICLES
+        if (scenario in _GRID_PARTICLES and scenario != "conservation_suite"
                 and _get(tree, "numerics.scheme") == "crank_nicolson_stencil"):
-            masses = _get(tree, "physics.masses")
-            bound = 0.25 * grid.spacing ** 2 * min(masses)
-            if _get(tree, "numerics.dt") > bound:
-                raise ConfigError(
-                    "numerics.dt",
-                    "exceeds the stencil stability bound %.6g for spacing %.6g"
-                    % (bound, grid.spacing))
+            _check_stencil_dt(tree, "numerics.dt", grid.dims,
+                              grid.points_per_axis, grid.extent)
 
     if scenario == "two_level_collapse":
         labels = _get(tree, "levels.labels")
@@ -413,6 +430,14 @@ def _validate(scenario: str, tree: dict) -> None:
         _number(tree, "angular.spectral.momentum")
         _number(tree, "angular.spectral.depth")
         _number(tree, "angular.spectral.well_width", positive=True)
+        angular = _grid_spec(tree, "angular", 2)
+        _grid_spec(tree, "angular.spectral", 2)
+        # the suite steps with the stencil scheme on grids twice as fine
+        # as the configured ones, whatever numerics.scheme says
+        _check_stencil_dt(tree, "numerics.dt", grid.dims,
+                          2 * grid.points_per_axis, grid.extent)
+        _check_stencil_dt(tree, "angular.dt", 2,
+                          2 * angular.points_per_axis, angular.extent)
         low = _number(tree, "tolerances.stencil_ratio_low", positive=True)
         high = _number(tree, "tolerances.stencil_ratio_high", positive=True)
         if not low < high:
@@ -474,12 +499,11 @@ class RunConfig:
 
     # construction helpers for the scenario runners
 
-    def grid_basis(self) -> GridBasis:
-        grid = GridSpec(dims=int(_get(self.data, "grid.dims")),
-                        points_per_axis=int(_get(self.data, "grid.points_per_axis")),
-                        extent=float(_get(self.data, "grid.extent")))
-        masses = _get(self.data, "physics.masses")
-        return GridBasis(grid, tuple(ParticleSpec(float(m)) for m in masses))
+    def grid_basis(self, points: int | None = None) -> GridBasis:
+        """The configured grid, or one with ``points`` per axis."""
+        grid = self.data["grid"]
+        return _grid_basis(self.data, grid["dims"], grid["points_per_axis"]
+                           if points is None else points, grid["extent"])
 
     def initial_state(self, basis: GridBasis):
         init = self.data["initial"]
@@ -497,6 +521,47 @@ class RunConfig:
         else:
             potential = SoftCoulomb(coupling * pot["strength"], pot["softening"])
         return [InteractionPair(0, 1, potential)]
+
+    def angular_system(self, points: int | None = None, spectral: bool = False):
+        """Basis, state and pairs of a 2-D conservation-suite block.
+
+        The ``angular`` section describes a grazing collision on
+        ``points`` per axis (default: its own count) with the configured
+        pair potential; with ``spectral`` the ``angular.spectral``
+        section describes a head-on pass on its own grid with its own
+        well.
+        """
+        section = self.data["angular"]
+        if spectral:
+            section = section["spectral"]
+        basis = _grid_basis(self.data, 2, section["points_per_axis"]
+                            if points is None else points, section["extent"])
+        sep, off = float(section["separation"]), float(section.get("impact_offset", 0.0))
+        width, k = float(section["width"]), float(section["momentum"])
+        state = normalize(gaussian_packet(basis,
+                                          centers=(-sep, -off, sep, off),
+                                          widths=(width,) * 4,
+                                          momenta=(k, 0.0, -k, 0.0)))
+        if spectral:
+            pairs = [InteractionPair(0, 1, GaussianWell(
+                float(section["depth"]), float(section["well_width"])))]
+        else:
+            pairs = self.pairs()
+        return basis, state, pairs
+
+    def suite_integrator_config(self, section: str) -> IntegratorConfig:
+        """Stencil run of one conservation-suite block.
+
+        ``section`` is ``"numerics"`` (the momentum block) or
+        ``"angular"``; its ``dt`` and ``n_steps`` set the run, and only
+        the initial and final states are recorded.
+        """
+        block = self.data[section]
+        n_steps = int(block["n_steps"])
+        return self.integrator_config(scheme="crank_nicolson_stencil",
+                                      n_steps=n_steps, dt=float(block["dt"]),
+                                      record_every=n_steps,
+                                      record_observables=())
 
     def integrator_config(self, **overrides) -> IntegratorConfig:
         num = dict(self.data["numerics"])
@@ -530,13 +595,6 @@ class RunConfig:
         walk = self.data["walk"]
         return WalkConfig(step_scale=walk["step_scale"], barrier=walk["barrier"],
                           mode=walk["mode"], max_steps=int(walk["max_steps"]))
-
-    def eraser_configs(self) -> list[EraserConfig]:
-        er = self.data["eraser"]
-        return [EraserConfig(epsilon=eps, n_traj=self.n_traj, mode=er["mode"],
-                             sign=er["sign"], n_steps=int(er["n_steps"]),
-                             dt=er["dt"])
-                for eps in er["epsilons"]]
 
     def thermal_input(self) -> ThermalInput:
         th = self.data["thermal"]

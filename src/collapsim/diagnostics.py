@@ -12,26 +12,30 @@ separate from the cross terms.
 
 All expectations here are normalized by the state norm, so the checks
 are insensitive to whether the caller renormalizes between steps.
+
+``attributed_gap`` and ``identity_residual`` are the two measurements
+of the conservation suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collapse import total_diagonal
+from .collapse import collapse_sum, total_diagonal
+from .integrator import IntegratorConfig, run_trajectory
 from .operators import PairGeometry, derivative1
 from .state import GridBasis, HilbertState
 
 __all__ = [
-    "ConservationReport",
     "ConservationGapTracker",
     "EnergyDeviationTerms",
     "DeviationAccumulator",
     "proportionality_mismatch_field",
     "pointwise_proportionality_check",
-    "conserved_drift",
+    "identity_residual",
+    "attributed_gap",
     "energy_deviation_terms",
     "deviation_ratio_benchmark",
     "BenchmarkRatios",
@@ -77,69 +81,6 @@ def pointwise_proportionality_check(state: HilbertState, collapse_ops, increment
     return total / dens if dens > 0 else total
 
 
-@dataclass(frozen=True)
-class ConservationReport:
-    """Drift of one recorded expectation along a trajectory."""
-
-    quantity: str
-    residual_series: np.ndarray  # |<Q>(t) - <Q>(0)|, nonnegative
-    drift: float                 # final-time residual
-    max_drift: float
-    relative_drift: float
-    initial: float
-    grid_spacing: float | None = None
-    dt: float | None = None
-    kappa: float | None = None
-    seed: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "residual_series": [float(v) for v in self.residual_series],
-            "drift": self.drift,
-            "max_drift": self.max_drift,
-            "relative_drift": self.relative_drift,
-            "initial": self.initial,
-            "grid_spacing": self.grid_spacing,
-            "dt": self.dt,
-            "kappa": self.kappa,
-            "seed": self.seed,
-        }
-
-
-def conserved_drift(record, quantity: str, config=None, grid_spacing=None,
-                    scale=None) -> ConservationReport:
-    """Cumulative drift report for one recorded expectation series.
-
-    ``scale`` sets the denominator of the relative drift; by default
-    the largest magnitude the series reaches (so identically-zero
-    expectations like a symmetric momentum report their absolute
-    drift twice rather than dividing by zero).
-    """
-    if quantity not in record.expectations:
-        raise ValueError(
-            f"trajectory has no recorded expectation {quantity!r}; "
-            f"available: {sorted(record.expectations)}")
-    series = np.asarray(record.expectations[quantity], dtype=float)
-    residuals = np.abs(series - series[0])
-    drift = float(residuals[-1])
-    max_drift = float(residuals.max())
-    if scale is None:
-        scale = max(float(np.max(np.abs(series))), 1.0e-300)
-    return ConservationReport(
-        quantity=quantity,
-        residual_series=residuals,
-        drift=drift,
-        max_drift=max_drift,
-        relative_drift=drift / scale,
-        initial=float(series[0]),
-        grid_spacing=grid_spacing,
-        dt=None if config is None else config.dt,
-        kappa=None if config is None else config.kappa,
-        seed=record.seed,
-    )
-
-
 class ConservationGapTracker:
     """Separates physical redistribution from discretization error.
 
@@ -159,10 +100,9 @@ class ConservationGapTracker:
     ``finish(record.final_state)`` afterwards.
     """
 
-    def __init__(self, q_op, dt: float, quantity: str = "observable"):
+    def __init__(self, q_op, dt: float):
         self.q_op = q_op
         self.dt = float(dt)
-        self.quantity = quantity
         self.values: list[float] = []
         self.residuals: list[float] = []
         self._predicted = None
@@ -200,27 +140,49 @@ class ConservationGapTracker:
         """Cumulative unexplained drift over the whole run."""
         return float(abs(np.sum(self.residuals))) if self.residuals else 0.0
 
-    @property
-    def max_step_residual(self) -> float:
-        return float(np.max(np.abs(self.residuals))) if self.residuals else 0.0
 
-    def as_report(self, config=None, grid_spacing=None, seed=None,
-                  scale=None) -> ConservationReport:
-        gaps = np.abs(np.cumsum([0.0] + self.residuals))
-        if scale is None:
-            scale = max(float(np.max(np.abs(self.values))), 1.0e-300)
-        return ConservationReport(
-            quantity=self.quantity,
-            residual_series=gaps,
-            drift=float(gaps[-1]),
-            max_drift=float(gaps.max()),
-            relative_drift=float(gaps[-1]) / scale,
-            initial=self.values[0] if self.values else float("nan"),
-            grid_spacing=grid_spacing,
-            dt=None if config is None else config.dt,
-            kappa=None if config is None else config.kappa,
-            seed=seed,
-        )
+# deterministic noise increment at which the static identity is probed
+_PROBE_INCREMENT = complex(0.021, -0.013)
+
+
+def identity_residual(state: HilbertState, pairs, q_op,
+                      config: IntegratorConfig) -> float:
+    """Pointwise identity residual of ``q_op`` at a fixed probe increment.
+
+    The collapse operators are built from ``pairs`` with the gain, the
+    light speed and the time step of ``config``, differentiated with the
+    scheme of ``q_op``.
+    """
+    ops = collapse_sum(state, pairs, kappa=config.kappa, c=config.c,
+                       scheme=q_op.scheme)
+    return pointwise_proportionality_check(state, ops, _PROBE_INCREMENT,
+                                           q_op, config.dt)
+
+
+def _step_residuals(state, pairs, q_op, config, seed) -> np.ndarray:
+    tracker = ConservationGapTracker(q_op, config.dt)
+    record = run_trajectory(state, config, pairs=pairs, seed=seed,
+                            per_step=tracker)
+    tracker.finish(record.final_state)
+    return np.asarray(tracker.residuals)
+
+
+def attributed_gap(state: HilbertState, pairs, q_op, config: IntegratorConfig,
+                   seed: int, subtract_control: bool = False) -> float:
+    """Cumulative drift of ``q_op`` along one run, charged to the noise.
+
+    The drift is the sum of the ``ConservationGapTracker`` residuals of
+    one trajectory. With ``subtract_control`` the residuals of the
+    same-seed run at ``kappa=0`` are subtracted step by step before the
+    sum: a square box leaks a little angular momentum through the
+    coordinate seam even in exact arithmetic, and that leak must not
+    masquerade as stencil error.
+    """
+    residuals = _step_residuals(state, pairs, q_op, config, seed)
+    if subtract_control:
+        residuals = residuals - _step_residuals(
+            state, pairs, q_op, replace(config, kappa=0.0), seed)
+    return abs(float(np.sum(residuals)))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .collapse import collapse_from_diagonal, collapse_sum, total_diagonal
 from .noise import WienerProcess
 from .operators import (
     AngularMomentumZOperator,
-    InteractionPair,
     KineticOperator,
     LinearOperator,
     MomentumOperator,
@@ -301,6 +300,16 @@ def _branch_conditional(amp, applied, in_mask, out_mask):
     return out
 
 
+def _branch_split(state, ops):
+    """Branch split of ``state`` by the summed centered interaction of
+    ``ops``. The sum is unscaled, so the branches stay defined at
+    ``kappa = 0``, where every scaled diagonal vanishes."""
+    centered = np.zeros(state.amplitudes.shape)
+    for op in ops:
+        centered = centered + op.centered
+    return branch_decompose(state, centered)
+
+
 def _collapse_ops_for(state, pairs, config, finite_potential, geometries):
     if pairs:
         return collapse_sum(state, pairs, kappa=config.kappa, c=config.c,
@@ -358,10 +367,7 @@ def run_trajectory(initial: HilbertState, config: IntegratorConfig, pairs=(), se
     def record(state, ops):
         times.append(state.time)
         if ops:
-            centered = np.zeros(state.amplitudes.shape)
-            for op in ops:
-                centered = centered + op.centered
-            decomp = branch_decompose(state, centered)
+            decomp = _branch_split(state, ops)
             w_in, w_out = decomp.weight_in, decomp.weight_out
             in_mask, out_mask = decomp.in_mask, decomp.out_mask
         else:
@@ -397,10 +403,7 @@ def run_trajectory(initial: HilbertState, config: IntegratorConfig, pairs=(), se
         w_in = record(state, ops) if at_record else None
         if config.stop_on_absorb and ops:
             if w_in is None:
-                centered = np.zeros(state.amplitudes.shape)
-                for op in ops:
-                    centered = centered + op.centered
-                w_in = branch_decompose(state, centered).weight_in
+                w_in = _branch_split(state, ops).weight_in
             if w_in >= 1.0 - theta:
                 outcome = "in"
                 break

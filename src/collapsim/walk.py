@@ -112,10 +112,6 @@ class WalkEnsembleResult:
         return float(np.mean(self.status == 1))
 
     @property
-    def fraction_lower(self) -> float:
-        return float(np.mean(self.status == -1))
-
-    @property
     def fraction_unresolved(self) -> float:
         return float(np.mean(self.status == 0))
 

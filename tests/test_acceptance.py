@@ -18,14 +18,14 @@ import numpy as np
 import pytest
 
 from collapsim import cli
-from collapsim.collapse import characteristic_time, collapse_sum
+from collapsim.collapse import characteristic_time
 from collapsim.config import parse_config_data
 from collapsim.constants import EV, HBAR
 from collapsim.diagnostics import (
-    ConservationGapTracker,
     DeviationAccumulator,
+    attributed_gap,
     deviation_ratio_benchmark,
-    pointwise_proportionality_check,
+    identity_residual,
 )
 from collapsim.experiments import (
     AIR_STP,
@@ -34,7 +34,6 @@ from collapsim.experiments import (
     thermal_estimate,
 )
 from collapsim.integrator import (
-    IntegratorConfig,
     density_change_decomposition,
     run_ensemble,
     run_schrodinger_reference,
@@ -44,95 +43,13 @@ from collapsim.noise import WienerProcess
 from collapsim.operators import (
     AngularMomentumZOperator,
     DiagonalOperator,
-    GaussianWell,
-    InteractionPair,
     MomentumOperator,
 )
-from collapsim.state import (
-    GridBasis,
-    GridSpec,
-    ParticleSpec,
-    expectation,
-    gaussian_packet,
-    normalize,
-)
+from collapsim.state import expectation
 from collapsim.walk import WalkConfig, born_linearity_scan, step_count_estimate
 
-PROBE = complex(0.021, -0.013)
 
-
-# ---------------------------------------------------------------- systems
-
-
-def scattering_1d(points):
-    """Two particles in 1-D, the shipped scattering geometry at c=1."""
-    grid = GridSpec(dims=1, points_per_axis=points, extent=8.0)
-    basis = GridBasis(grid, (ParticleSpec(1.0), ParticleSpec(1.5)))
-    state = normalize(gaussian_packet(basis, (-0.8, 0.8), (0.9, 0.9),
-                                      (0.6, -0.4)))
-    pairs = (InteractionPair(0, 1, GaussianWell(-2.0, 1.0)),)
-    return basis, state, pairs
-
-
-def grazing_2d(points):
-    """2-D grazing collision with an impact offset.
-
-    The offset matters: a head-on mirror-symmetric pass exchanges no
-    angular momentum on average, which would leave nothing but noise
-    for the drift ratio to measure.
-    """
-    grid = GridSpec(dims=2, points_per_axis=points, extent=4.5)
-    basis = GridBasis(grid, (ParticleSpec(1.0), ParticleSpec(1.5)))
-    state = normalize(gaussian_packet(basis, (-0.7, -0.35, 0.7, 0.35),
-                                      (1.0,) * 4, (0.6, 0.0, -0.6, 0.0)))
-    pairs = (InteractionPair(0, 1, GaussianWell(-2.0, 1.0)),)
-    return basis, state, pairs
-
-
-def narrow_2d(points):
-    """Narrow-packet 2-D system sized for the spectral residual check."""
-    grid = GridSpec(dims=2, points_per_axis=points, extent=5.0)
-    basis = GridBasis(grid, (ParticleSpec(1.0), ParticleSpec(1.5)))
-    state = normalize(gaussian_packet(basis, (-0.6, 0.0, 0.6, 0.0),
-                                      (0.55,) * 4, (0.5, 0.0, -0.5, 0.0)))
-    pairs = (InteractionPair(0, 1, GaussianWell(-1.5, 1.2)),)
-    return basis, state, pairs
-
-
-def drift_residuals(builder, points, q_cls, kappa, dt, steps, seed):
-    """Per-step conservation residuals along one stencil trajectory."""
-    basis, state, pairs = builder(points)
-    config = IntegratorConfig(dt=dt, n_steps=steps,
-                              scheme="crank_nicolson_stencil", kappa=kappa,
-                              c=1.0, stop_on_absorb=False, record_every=steps)
-    tracker = ConservationGapTracker(q_cls(basis, scheme="stencil"), dt)
-    record = run_trajectory(state, config, pairs=pairs, seed=seed,
-                            per_step=tracker)
-    tracker.finish(record.final_state)
-    return np.asarray(tracker.residuals)
-
-
-def drift_gap(builder, points, q_cls, kappa, dt, steps, seed,
-              subtract_control=False):
-    """Cumulative drift, optionally with the zero-gain run subtracted.
-
-    A square box leaks a little angular momentum through the coordinate
-    seam even in exact arithmetic; differencing against the kappa=0 run
-    with the same noise stream cancels that leak pathwise and leaves the
-    collapse-attributed part.
-    """
-    on = drift_residuals(builder, points, q_cls, kappa, dt, steps, seed)
-    if not subtract_control:
-        return abs(float(np.sum(on)))
-    off = drift_residuals(builder, points, q_cls, 0.0, dt, steps, seed)
-    return abs(float(np.sum(on - off)))
-
-
-def identity_residual(builder, points, q_cls, kappa, dt, scheme):
-    basis, state, pairs = builder(points)
-    ops = collapse_sum(state, pairs, kappa=kappa, c=1.0, scheme=scheme)
-    q_op = q_cls(basis, scheme=scheme)
-    return pointwise_proportionality_check(state, ops, PROBE, q_op, dt)
+# ---------------------------------------------------------------- helpers
 
 
 def axis_width(state):
@@ -271,14 +188,28 @@ def test_zero_gain_reduces_to_schrodinger():
     assert np.array_equal(record.final_state.amplitudes, reference.amplitudes)
 
 
+def suite_config(kappa, section, dt, steps):
+    """The shipped conservation suite at seed 5 with one block retuned."""
+    return parse_config_data({"scenario": "conservation_suite",
+                              "physics": {"kappa": kappa},
+                              section: {"dt": dt, "n_steps": steps},
+                              "ensemble": {"master_seed": 5}})
+
+
 def test_momentum_drift_refines_second_order():
     # halving h should cut both the stencil identity residual and the
     # accumulated drift by about 4; the window [3, 5] brackets that
     for kappa, dt in ((1.0, 0.003), (100.0, 2e-5)):
-        gaps = [drift_gap(scattering_1d, n, MomentumOperator, kappa, dt,
-                          40, seed=5) for n in (64, 128)]
-        idents = [identity_residual(scattering_1d, n, MomentumOperator,
-                                    kappa, dt, "stencil") for n in (64, 128)]
+        cfg = suite_config(kappa, "numerics", dt, 40)
+        icfg = cfg.suite_integrator_config("numerics")
+        gaps, idents = [], []
+        for n in (64, 128):
+            basis = cfg.grid_basis(n)
+            state, pairs = cfg.initial_state(basis), cfg.pairs()
+            q_op = MomentumOperator(basis, scheme="stencil")
+            gaps.append(attributed_gap(state, pairs, q_op, icfg,
+                                       cfg.master_seed))
+            idents.append(identity_residual(state, pairs, q_op, icfg))
         gap_ratio = gaps[0] / gaps[1]
         ident_ratio = idents[0] / idents[1]
         print("momentum kappa=%g: gap ratio %.3f ident ratio %.3f"
@@ -286,19 +217,26 @@ def test_momentum_drift_refines_second_order():
         assert 3.0 <= gap_ratio <= 5.0
         assert 3.0 <= ident_ratio <= 5.0
 
-    spectral = identity_residual(scattering_1d, 64, MomentumOperator,
-                                 1.0, 0.003, "spectral")
+    cfg = suite_config(1.0, "numerics", 0.003, 40)
+    basis = cfg.grid_basis(64)
+    spectral = identity_residual(cfg.initial_state(basis), cfg.pairs(),
+                                 MomentumOperator(basis, scheme="spectral"),
+                                 cfg.suite_integrator_config("numerics"))
     print("momentum spectral residual %.3g" % spectral)
     assert spectral < 1e-10
 
 
 def test_angular_drift_refines_second_order():
     for kappa, dt, steps in ((1.0, 0.008, 30), (100.0, 5e-5, 40)):
-        gaps = [drift_gap(grazing_2d, n, AngularMomentumZOperator, kappa,
-                          dt, steps, seed=5, subtract_control=True)
-                for n in (16, 32)]
-        idents = [identity_residual(grazing_2d, n, AngularMomentumZOperator,
-                                    kappa, dt, "stencil") for n in (16, 32)]
+        cfg = suite_config(kappa, "angular", dt, steps)
+        icfg = cfg.suite_integrator_config("angular")
+        gaps, idents = [], []
+        for n in (16, 32):
+            basis, state, pairs = cfg.angular_system(n)
+            q_op = AngularMomentumZOperator(basis, scheme="stencil")
+            gaps.append(attributed_gap(state, pairs, q_op, icfg,
+                                       cfg.master_seed, subtract_control=True))
+            idents.append(identity_residual(state, pairs, q_op, icfg))
         gap_ratio = gaps[0] / gaps[1]
         ident_ratio = idents[0] / idents[1]
         print("angular kappa=%g: gap ratio %.3f ident ratio %.3f"
@@ -306,8 +244,11 @@ def test_angular_drift_refines_second_order():
         assert 3.0 <= gap_ratio <= 5.0
         assert 3.0 <= ident_ratio <= 5.0
 
-    spectral = identity_residual(narrow_2d, 32, AngularMomentumZOperator,
-                                 1.0, 0.01, "spectral")
+    cfg = suite_config(1.0, "angular", 0.01, 30)
+    basis, state, pairs = cfg.angular_system(spectral=True)
+    spectral = identity_residual(
+        state, pairs, AngularMomentumZOperator(basis, scheme="spectral"),
+        cfg.suite_integrator_config("angular"))
     print("angular spectral residual %.3g" % spectral)
     assert spectral < 1e-10
 

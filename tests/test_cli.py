@@ -9,6 +9,9 @@ import pytest
 
 from collapsim import cli
 from collapsim.cli import main
+from collapsim.config import parse_config
+from collapsim.diagnostics import attributed_gap, identity_residual
+from collapsim.operators import AngularMomentumZOperator, MomentumOperator
 
 
 def write_config(tmp_path, name, data):
@@ -210,6 +213,21 @@ def test_conserve_toy_resolution(tmp_path):
         "angular_momentum_spectral_residual",
     }
     assert all(isinstance(c["passed"], bool) for c in body["checks"])
+
+    # the runner is a shell over the library: the same calls on the same
+    # parsed config reproduce the artifact's numbers exactly
+    cfg = parse_config(path)
+    basis = cfg.grid_basis(16)
+    momentum = attributed_gap(cfg.initial_state(basis), cfg.pairs(),
+                              MomentumOperator(basis, scheme="stencil"),
+                              cfg.suite_integrator_config("numerics"),
+                              cfg.master_seed)
+    assert body["blocks"]["momentum"]["coarse_gap"] == momentum
+    basis, state, pairs = cfg.angular_system(spectral=True)
+    angular = identity_residual(state, pairs,
+                                AngularMomentumZOperator(basis, scheme="spectral"),
+                                cfg.suite_integrator_config("angular"))
+    assert body["blocks"]["angular_momentum"]["spectral_residual"] == angular
 
 
 def test_numerical_abort_writes_partial_artifact(tmp_path, monkeypatch, capsys):

@@ -13,12 +13,10 @@ import pytest
 from collapsim.collapse import (
     CollapseOperator,
     DegenerateProjectionError,
-    DegenerateProjectionWarning,
     build_collapse_operator,
     characteristic_time,
     collapse_from_diagonal,
     collapse_sum,
-    gamma,
     interacting_component,
     rate_denominator,
     rate_denominator_bound_state,
@@ -250,15 +248,13 @@ def test_rate_denominator_negative_branch_is_well_depth():
 # gamma and operator construction
 
 
-def test_gamma_zero_with_warning_when_degenerate():
+def test_gamma_zero_when_degenerate():
     basis = pair_basis(extent=8.0)
     pair = InteractionPair(0, 1, GaussianWell(-2.0, 0.5))
     psi = normalize(gaussian_packet(basis, [-4.0, 4.0], [0.4, 0.4]))
     params = rate_params(psi, pair)
     assert params.degenerate
     assert params.gamma == 0.0
-    with pytest.warns(DegenerateProjectionWarning):
-        assert gamma(psi, pair) == 0.0
 
 
 def test_gamma_positive_during_overlap():

@@ -74,6 +74,22 @@ def test_stencil_stability_rejection_names_dt():
                                     "dt": 0.05}})
 
 
+def test_conservation_suite_dt_checked_on_refined_grids():
+    # the suite steps with the stencil scheme on grids twice as fine as
+    # configured: 0.005 is stable at 64 points per axis but not at 128
+    cases = [
+        ({"numerics": {"dt": 0.005}}, "numerics.dt"),
+        ({"angular": {"dt": 0.05}}, "angular.dt"),
+    ]
+    for data, path in cases:
+        with pytest.raises(ConfigError) as err:
+            parse_config_data(dict(data, scenario="conservation_suite"))
+        assert err.value.path == path
+        assert "stability" in str(err.value)
+    parse_config_data({"scenario": "conservation_suite",
+                       "numerics": {"dt": 0.0039}})
+
+
 def test_grid_validation_paths():
     with pytest.raises(ConfigError) as err:
         parse_config_data({"scenario": "free_packet",
@@ -87,6 +103,13 @@ def test_grid_validation_paths():
         parse_config_data({"scenario": "grid_scattering",
                            "initial": {"centers": [0.0]}})
     assert err.value.path == "initial.centers"
+    for data, path in (({"points_per_axis": 12}, "angular"),
+                       ({"spectral": {"points_per_axis": 12}},
+                        "angular.spectral")):
+        with pytest.raises(ConfigError) as err:
+            parse_config_data({"scenario": "conservation_suite",
+                               "angular": data})
+        assert err.value.path == path
 
 
 def test_value_range_paths():
@@ -210,11 +233,6 @@ def test_scenario_specific_builders():
     thermal = parse_config_data({"scenario": "thermal"}).thermal_input()
     assert thermal.temperature == 300.0
     assert thermal.rate == 1e10
-    eraser = parse_config_data({"scenario": "eraser",
-                                "ensemble": {"n_traj": 99}})
-    configs = eraser.eraser_configs()
-    assert [c.epsilon for c in configs] == [0.02, 0.05, 0.1]
-    assert all(c.n_traj == 99 for c in configs)
 
 
 def test_parse_config_file_errors(tmp_path):

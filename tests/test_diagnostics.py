@@ -14,7 +14,6 @@ from collapsim.diagnostics import (
     BenchmarkRatios,
     ConservationGapTracker,
     DeviationAccumulator,
-    conserved_drift,
     deviation_ratio_benchmark,
     energy_deviation_terms,
     pointwise_proportionality_check,
@@ -116,47 +115,20 @@ def test_angular_momentum_mismatch_spectral_2d():
 
 
 # ---------------------------------------------------------------------------
-# Drift reports
+# Free-run drift
 
 
-def _free_run(n_steps=60):
+def test_free_run_conserves_momentum():
     grid = GridSpec(dims=1, points_per_axis=64, extent=8.0)
     basis = GridBasis(grid, (ParticleSpec(1.0),))
     state = normalize(gaussian_packet(basis, centers=(0.0,), widths=(1.0,),
                                       momenta=(0.7,)))
-    cfg = IntegratorConfig(dt=0.01, n_steps=n_steps, scheme="split_step_spectral",
+    cfg = IntegratorConfig(dt=0.01, n_steps=60, scheme="split_step_spectral",
                            kappa=0.0, record_every=10,
-                           record_observables=("momentum", "kinetic"))
-    return basis, run_trajectory(state, cfg, seed=3), cfg
-
-
-def test_free_run_conserves_momentum():
-    basis, record, cfg = _free_run()
-    report = conserved_drift(record, "momentum", config=cfg,
-                             grid_spacing=basis.grid.spacing)
-    assert report.drift < 1e-12
-    assert report.max_drift < 1e-12
-    assert report.relative_drift < 1e-11
-    assert report.initial == pytest.approx(0.7, rel=1e-3)
-    assert report.dt == cfg.dt
-    assert report.kappa == 0.0
-    assert report.seed == 3
-    assert np.all(report.residual_series >= 0.0)
-
-
-def test_missing_quantity_lists_available_keys():
-    _, record, _ = _free_run(n_steps=10)
-    with pytest.raises(ValueError, match="angular_momentum"):
-        conserved_drift(record, "angular_momentum")
-
-
-def test_report_round_trips_to_plain_types():
-    basis, record, cfg = _free_run(n_steps=10)
-    d = conserved_drift(record, "kinetic", config=cfg).to_dict()
-    assert isinstance(d["residual_series"], list)
-    assert all(isinstance(v, float) for v in d["residual_series"])
-    assert d["quantity"] == "kinetic"
-    assert d["kappa"] == 0.0
+                           record_observables=("momentum",))
+    series = run_trajectory(state, cfg, seed=3).expectations["momentum"]
+    assert series[0] == pytest.approx(0.7, rel=1e-3)
+    assert np.max(np.abs(series - series[0])) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +145,7 @@ def _tracked_run(n, scheme, seed=5):
                            stop_on_absorb=False)
     dscheme = cfg.derivative_scheme
     tracker = ConservationGapTracker(MomentumOperator(basis, scheme=dscheme),
-                                     cfg.dt, quantity="momentum")
+                                     cfg.dt)
     record = run_trajectory(state, cfg, pairs=pairs, seed=seed, per_step=tracker)
     tracker.finish(record.final_state)
     return basis, cfg, tracker
@@ -187,7 +159,7 @@ def test_gap_tracker_isolates_discretization_spectral():
     raw = abs(tracker.values[-1] - tracker.values[0])
     assert raw > 1e-5
     assert tracker.gap < 1e-12
-    assert tracker.max_step_residual < 1e-13
+    assert np.max(np.abs(tracker.residuals)) < 1e-13
 
 
 def test_gap_tracker_stencil_refines_second_order():
@@ -198,18 +170,6 @@ def test_gap_tracker_stencil_refines_second_order():
     assert 3.0 < coarse.gap / fine.gap < 4.8
 
 
-def test_gap_tracker_report_metadata():
-    basis, cfg, tracker = _tracked_run(64, "crank_nicolson_stencil")
-    report = tracker.as_report(config=cfg, grid_spacing=basis.grid.spacing, seed=5)
-    assert report.quantity == "momentum"
-    assert report.drift == pytest.approx(tracker.gap)
-    assert report.residual_series[0] == 0.0
-    assert len(report.residual_series) == len(tracker.residuals) + 1
-    assert report.grid_spacing == basis.grid.spacing
-    assert report.seed == 5
-    assert report.max_drift >= report.drift
-
-
 def test_gap_tracker_exact_for_commuting_finite_diagonal():
     basis = FiniteBasis(("in", "out"))
     psi = finite_state(basis, np.array([np.sqrt(0.37), np.sqrt(0.63)], dtype=complex))
@@ -217,7 +177,7 @@ def test_gap_tracker_exact_for_commuting_finite_diagonal():
                            gamma_override=4.0, energy_denominator=2.0,
                            stop_on_absorb=False)
     tracker = ConservationGapTracker(DiagonalOperator(np.array([1.0, 0.0])),
-                                     cfg.dt, quantity="upper weight")
+                                     cfg.dt)
     record = run_trajectory(psi, cfg, seed=31,
                             finite_potential=np.array([1.0, 0.0]),
                             per_step=tracker)
@@ -232,7 +192,7 @@ def test_gap_tracker_idle_without_steps():
     tracker = ConservationGapTracker(DiagonalOperator(np.array([1.0, 0.0])), 0.01)
     tracker.finish(psi)
     assert tracker.gap == 0.0
-    assert tracker.max_step_residual == 0.0
+    assert tracker.residuals == []
 
 
 # ---------------------------------------------------------------------------
