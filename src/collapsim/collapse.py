@@ -256,7 +256,11 @@ class CollapseOperator(LinearOperator):
 
 def build_collapse_operator(state, pair, kappa=1.0, c=1.0, scheme="spectral",
                             gamma_value=None, geometry=None) -> CollapseOperator:
-    """Grid-backend construction; gamma computed from the state unless given."""
+    """Grid-backend construction; gamma computed from the state unless given.
+
+    At zero gain gamma is taken as 0 instead: every use of gamma is
+    multiplied by kappa, so the rate would scale nothing.
+    """
     basis = state.basis
     if not isinstance(basis, GridBasis):
         raise TypeError("grid-backed state required; use collapse_from_diagonal "
@@ -264,7 +268,7 @@ def build_collapse_operator(state, pair, kappa=1.0, c=1.0, scheme="spectral",
     v = _geometry(basis, pair, geometry).values
     centered = v - _mean_potential(state, v)
     if gamma_value is None:
-        gamma_value = rate_params(state, pair, scheme, geometry).gamma
+        gamma_value = rate_params(state, pair, scheme, geometry).gamma if kappa else 0.0
     e_den = (basis.particles[pair.j].mass + basis.particles[pair.k].mass) * c * c
     return CollapseOperator(centered, gamma_value, e_den, kappa, pair, geometry)
 

@@ -410,8 +410,14 @@ def _validate(scenario: str, tree: dict) -> None:
         _choice(tree, "walk.mode", WALK_MODES)
         _number(tree, "walk.max_steps", positive=True, integer=True)
         weights = _number_list(tree, "walk.weights")
-        if any(not 0.0 < w < 1.0 for w in weights):
-            raise ConfigError("walk.weights", "starting weights must lie in (0, 1)")
+        theta = WalkConfig(step_scale=scale, barrier=barrier).barrier_value
+        if any(not theta < w < 1.0 - theta for w in weights):
+            raise ConfigError("walk.weights",
+                              "starting weights must lie strictly between the "
+                              "barriers (%g, %g)" % (theta, 1.0 - theta))
+        if len(set(weights)) < 2:
+            raise ConfigError("walk.weights",
+                              "the Born-rule fit needs at least two distinct weights")
 
     if scenario == "conservation_suite":
         _number(tree, "angular.points_per_axis", positive=True, integer=True)

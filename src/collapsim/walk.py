@@ -129,7 +129,15 @@ class WalkEnsembleResult:
 
 def walk_ensemble(x0: float, n_walkers: int, config: WalkConfig,
                   seed: int = 0) -> WalkEnsembleResult:
-    """Vectorized ensemble; one shared draw array per step."""
+    """Vectorized ensemble stepping only the walkers still active.
+
+    Each pass draws one number per active walker, handed out to the
+    active walkers in ascending order. ``idx`` and ``xa`` hold those
+    walkers' indices and weights; an absorbed walker's final weight,
+    status and step count (the pass on which it crossed) are written
+    out as it leaves them, and walkers still active after the last
+    pass get theirs at the end.
+    """
     theta = config.barrier_value
     if not theta < x0 < 1.0 - theta:
         raise ValueError(
@@ -138,24 +146,33 @@ def walk_ensemble(x0: float, n_walkers: int, config: WalkConfig,
     if n_walkers < 1:
         raise ValueError("n_walkers must be positive")
     rng = np.random.default_rng((seed,))
-    x = np.full(n_walkers, float(x0))
+    x = np.empty(n_walkers)
     status = np.zeros(n_walkers, dtype=np.int8)
-    steps = np.zeros(n_walkers, dtype=np.int64)
+    steps = np.empty(n_walkers, dtype=np.int64)
+    idx = np.arange(n_walkers)
+    xa = np.full(n_walkers, float(x0))
     scale = config.step_scale
-    for _ in range(config.max_steps):
-        idx = np.flatnonzero(status == 0)
-        if idx.size == 0:
-            break
+    passes = 0
+    while passes < config.max_steps and idx.size:
+        passes += 1
         if config.mode == "binary":
             draw = rng.integers(0, 2, idx.size) * 2.0 - 1.0
         else:
             draw = rng.standard_normal(idx.size)
-        xa = x[idx] + step_increment(x[idx], scale, draw)
+        xa += step_increment(xa, scale, draw)
         np.clip(xa, 0.0, 1.0, out=xa)
-        x[idx] = xa
-        steps[idx] += 1
-        status[idx[xa >= 1.0 - theta]] = 1
-        status[idx[xa <= theta]] = -1
+        upper = xa >= 1.0 - theta
+        crossed = upper | (xa <= theta)
+        if crossed.any():
+            done = idx[crossed]
+            x[done] = xa[crossed]
+            status[done] = np.where(upper[crossed], 1, -1)
+            steps[done] = passes
+            keep = ~crossed
+            idx = idx[keep]
+            xa = xa[keep]
+    x[idx] = xa
+    steps[idx] = passes
     return WalkEnsembleResult(x0=x0, config=config, seed=seed,
                               final=x, status=status, steps=steps)
 

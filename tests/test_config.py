@@ -118,6 +118,15 @@ def test_value_range_paths():
          "eraser.epsilons"),
         ({"scenario": "walk_scan", "walk": {"weights": [0.5, 1.2]}},
          "walk.weights"),
+        # inside (0, 1) but below the default barrier s^2 / 4 at s = 0.05
+        ({"scenario": "walk_scan", "walk": {"weights": [0.0001, 0.5]}},
+         "walk.weights"),
+        ({"scenario": "walk_scan",
+          "walk": {"barrier": 0.2, "weights": [0.5, 0.85]}}, "walk.weights"),
+        # a line through fewer than two distinct weights has no slope
+        ({"scenario": "walk_scan", "walk": {"weights": [0.5]}}, "walk.weights"),
+        ({"scenario": "walk_scan", "walk": {"weights": [0.5, 0.5]}},
+         "walk.weights"),
         ({"scenario": "thermal", "thermal": {"mass": -1.0}}, "thermal.mass"),
         ({"scenario": "two_level_collapse", "levels": {"weight_in": 1.0}},
          "levels.weight_in"),

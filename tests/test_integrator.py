@@ -9,6 +9,7 @@ bands derived from the sample size, so they are deterministic.
 import numpy as np
 import pytest
 
+from collapsim import collapse as collapse_module
 from collapsim.collapse import collapse_from_diagonal, collapse_sum, total_diagonal
 from collapsim.integrator import (
     IntegratorConfig,
@@ -241,6 +242,25 @@ def test_kappa_zero_is_bit_identical_to_reference_grid():
     rec = run_trajectory(state, cfg, pairs=(pair,), seed=3)
     ref = run_schrodinger_reference(state, cfg, pairs=(pair,))
     assert np.array_equal(rec.final_state.amplitudes, ref.amplitudes)
+
+
+def test_zero_gain_grid_run_skips_the_rate(monkeypatch):
+    # at kappa = 0 the rate scales nothing, so no step computes it
+    calls = []
+    original = collapse_module.rate_numerator
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(collapse_module, "rate_numerator", counting)
+    basis, pair, state = _pair_system()
+    for kappa in (0.0, 1.0):
+        calls.clear()
+        cfg = IntegratorConfig(dt=0.005, n_steps=5, kappa=kappa, stop_on_absorb=False)
+        rec = run_trajectory(state, cfg, pairs=(pair,), seed=3)
+        assert rec.steps_taken == 5
+        assert (len(calls) > 0) == (kappa > 0)
 
 
 # ------------------------------------------------- density change bookkeeping

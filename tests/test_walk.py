@@ -89,6 +89,51 @@ def test_walk_is_deterministic_per_seed():
     assert not np.array_equal(a.final, c.final)
 
 
+def _rescan_walk(x0, n_walkers, config, seed):
+    """Reference loop: rescan every walker each pass and step the active ones."""
+    theta = config.barrier_value
+    rng = np.random.default_rng((seed,))
+    x = np.full(n_walkers, float(x0))
+    status = np.zeros(n_walkers, dtype=np.int8)
+    steps = np.zeros(n_walkers, dtype=np.int64)
+    passes = 0
+    for _ in range(config.max_steps):
+        idx = np.flatnonzero(status == 0)
+        if idx.size == 0:
+            break
+        passes += 1
+        if config.mode == "binary":
+            draw = rng.integers(0, 2, idx.size) * 2.0 - 1.0
+        else:
+            draw = rng.standard_normal(idx.size)
+        xa = x[idx] + step_increment(x[idx], config.step_scale, draw)
+        np.clip(xa, 0.0, 1.0, out=xa)
+        x[idx] = xa
+        steps[idx] += 1
+        status[idx[xa >= 1.0 - theta]] = 1
+        status[idx[xa <= theta]] = -1
+    return x, status, steps, passes
+
+
+@pytest.mark.parametrize("x0, config", [
+    (0.3, WalkConfig(step_scale=0.1)),
+    (0.6, WalkConfig(step_scale=0.15, mode="gaussian")),
+    (0.45, WalkConfig(step_scale=0.2, max_steps=200)),
+    (0.7, WalkConfig(step_scale=0.2, barrier=0.05)),
+])
+def test_compacted_walk_matches_rescan_reference(x0, config):
+    x, status, steps, passes = _rescan_walk(x0, 3000, config, seed=21)
+    res = walk_ensemble(x0, 3000, config, seed=21)
+    assert np.array_equal(res.final, x)
+    assert np.array_equal(res.status, status)
+    assert np.array_equal(res.steps, steps)
+    # the pass count read back from the steps, as benchmarks count passes
+    assert res.steps.max() == passes
+    # only the capped case ends with walkers still active, and not all
+    assert res.fraction_unresolved < 1
+    assert (res.fraction_unresolved > 0) == (passes == config.max_steps)
+
+
 def test_capped_walk_reports_unresolved():
     cfg = WalkConfig(step_scale=0.05, max_steps=200)
     res = walk_ensemble(0.37, 20_000, cfg, seed=9)
