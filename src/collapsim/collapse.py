@@ -21,6 +21,7 @@ geometry at each point of use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,7 +244,7 @@ class CollapseOperator(LinearOperator):
         self.kappa = float(kappa)
         self.pair = pair
         self.geometry = geometry
-        self.scaled_values = (self.kappa * np.sqrt(self.gamma) / self.energy_denominator) * self.centered
+        self.scaled_values = (self.kappa * math.sqrt(self.gamma) / self.energy_denominator) * self.centered
         self.hermitian = True
 
     @property

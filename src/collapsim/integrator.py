@@ -8,9 +8,10 @@ deterministic unitary sub-step:
     psi -> U(dt) psi                                  (unitary)
 
 followed by optional renormalization. D sums the scaled diagonals of
-every collapse operator active in the step. When the summed diagonal
-is exactly zero (kappa = 0, or no pairs) the shift branch is skipped
-entirely, so such runs are bit-identical to the bare unitary flow.
+every collapse operator handed to the step. When the summed diagonal
+is exactly zero (kappa = 0, or no pairs) a run hands the step no
+operators and draws no increment, so such runs are bit-identical to
+the bare unitary flow.
 
 The unitary sub-step is either a Strang-split spectral propagator
 (exact free kinetic phase) or a Crank-Nicolson update of the
@@ -20,6 +21,7 @@ the Fourier basis too, so both are applied as cached phase arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +42,7 @@ from .state import (
     FiniteBasis,
     GridBasis,
     HilbertState,
-    branch_decompose,
-    norm,
+    _branch_split,
 )
 
 __all__ = [
@@ -198,23 +199,28 @@ class DensityChange:
 
 def ito_step(state: HilbertState, collapse_ops, increment: complex,
              config: IntegratorConfig, stepper: UnitaryStepper | None = None):
-    """One full step; returns the new state plus StepDiagnostics."""
+    """One full step; returns the new state plus StepDiagnostics.
+
+    The shift uses the summed diagonal of ``collapse_ops``; with none
+    given it is skipped. With ``config.renormalize`` a
+    pre-renormalization norm that is zero or not finite raises
+    ``FloatingPointError``.
+    """
     amp = state.amplitudes
-    shift_applied = False
     if collapse_ops:
         diag = total_diagonal(collapse_ops)
-        if np.any(diag != 0.0):
-            amp = amp * (1.0 + diag * increment - 0.5 * diag * diag * config.dt)
-            shift_applied = True
+        amp = amp * (1.0 + diag * increment - 0.5 * diag * diag * config.dt)
     if stepper is not None:
         amp = stepper.step(amp)
-    new = state.with_amplitudes(amp, time=state.time + config.dt)
-    norm_pre = norm(new)
+    norm_pre = math.sqrt(np.vdot(amp, amp).real * state.basis.weight)
     if config.renormalize:
-        if norm_pre == 0.0:
-            raise FloatingPointError("state norm collapsed to zero during a step")
-        new = new.with_amplitudes(new.amplitudes / norm_pre)
-    return new, StepDiagnostics(norm_before_renormalize=norm_pre, shift_applied=shift_applied)
+        if norm_pre == 0.0 or not math.isfinite(norm_pre):
+            raise FloatingPointError(
+                f"state norm became {norm_pre!r} during a step")
+        amp = amp / norm_pre
+    new = HilbertState(state.basis, amp, state.time + config.dt)
+    return new, StepDiagnostics(norm_before_renormalize=norm_pre,
+                                shift_applied=bool(collapse_ops))
 
 
 def density_change_decomposition(state: HilbertState, collapse_ops, increment: complex,
@@ -300,14 +306,22 @@ def _branch_conditional(amp, applied, in_mask, out_mask):
     return out
 
 
-def _branch_split(state, ops):
-    """Branch split of ``state`` by the summed centered interaction of
-    ``ops``. The sum is unscaled, so the branches stay defined at
-    ``kappa = 0``, where every scaled diagonal vanishes."""
-    centered = np.zeros(state.amplitudes.shape)
-    for op in ops:
-        centered = centered + op.centered
-    return branch_decompose(state, centered)
+def _ops_split(state, ops):
+    """In-branch mask and weight of ``state`` by the summed centred
+    fields of ``ops``, recentred on ``state``.
+
+    Operators centred on the step's starting state leave a small second
+    mean, which stays exact where a fresh V - <V> would round to zero on
+    a state almost entirely in one level. The fields are unscaled, so
+    the branches stay defined at ``kappa = 0``. Without operators the
+    whole state is out.
+    """
+    if not ops:
+        return False, 0.0
+    centred = ops[0].centered
+    for op in ops[1:]:
+        centred = centred + op.centered
+    return _branch_split(state, centred)[:2]
 
 
 def _collapse_ops_for(state, pairs, config, finite_potential, geometries):
@@ -336,7 +350,10 @@ def run_trajectory(initial: HilbertState, config: IntegratorConfig, pairs=(), se
     step (the rate tracks the evolving state) from one ``PairGeometry``
     per pair, built once here and shared with the unitary stepper and
     the energy observable; finite-basis runs reuse the supplied diagonal
-    with the configured rate. Recording happens
+    with the configured rate. Operators are built only for steps that
+    are taken: the branch split of each new state (recorded, and tested
+    against the absorption threshold) recentres the operators of the
+    step that produced it. Recording happens
     at step multiples of ``record_every`` plus the initial and final
     points. ``per_step(step_index, state, ops, increment)`` is invoked
     before each step for callers that accumulate extra diagnostics.
@@ -364,19 +381,15 @@ def run_trajectory(initial: HilbertState, config: IntegratorConfig, pairs=(), se
     outcome = None
     steps_taken = 0
 
-    def record(state, ops):
+    def record(state, in_mask, w_in):
         times.append(state.time)
-        if ops:
-            decomp = _branch_split(state, ops)
-            w_in, w_out = decomp.weight_in, decomp.weight_out
-            in_mask, out_mask = decomp.in_mask, decomp.out_mask
-        else:
-            w_in, w_out = 0.0, 1.0
-            in_mask = np.zeros(state.amplitudes.shape, bool)
-            out_mask = ~in_mask
         w_in_series.append(w_in)
-        w_out_series.append(w_out)
+        w_out_series.append(1.0 - w_in)
+        if not observables:
+            return
         amp = state.amplitudes
+        in_mask = np.broadcast_to(in_mask, amp.shape)
+        out_mask = ~in_mask
         for name, op in observables.items():
             applied = op.apply(amp)
             # every supported observable is hermitian: record the real part
@@ -385,25 +398,28 @@ def run_trajectory(initial: HilbertState, config: IntegratorConfig, pairs=(), se
             cond = _branch_conditional(amp, applied, in_mask, out_mask)
             exp_series[name + "_in"].append(cond[0])
             exp_series[name + "_out"].append(cond[1])
-        return w_in
 
     ops = _collapse_ops_for(state, pairs, config, finite_potential, geometries)
-    record(state, ops)
+    absorbing = config.stop_on_absorb and bool(ops)
+    record(state, *_ops_split(state, ops))
     for step in range(config.n_steps):
         if step > 0:
             ops = _collapse_ops_for(state, pairs, config, finite_potential, geometries)
-        needs_noise = bool(ops) and bool(np.any(total_diagonal(ops) != 0.0))
-        increment = wiener.increment(config.dt) if needs_noise else 0.0
+        shifting = bool(ops) and total_diagonal(ops).any()
+        increment = wiener.increment(config.dt) if shifting else 0.0
         if per_step is not None:
             per_step(step, state, ops, increment)
-        state, diag = ito_step(state, ops, increment, config, stepper=stepper)
+        state, diag = ito_step(state, ops if shifting else (), increment, config,
+                               stepper=stepper)
         norm_series.append(diag.norm_before_renormalize)
         steps_taken = step + 1
         at_record = (steps_taken % config.record_every == 0) or steps_taken == config.n_steps
-        w_in = record(state, ops) if at_record else None
-        if config.stop_on_absorb and ops:
-            if w_in is None:
-                w_in = _branch_split(state, ops).weight_in
+        if not (at_record or absorbing):
+            continue
+        in_mask, w_in = _ops_split(state, ops)
+        if at_record:
+            record(state, in_mask, w_in)
+        if absorbing:
             if w_in >= 1.0 - theta:
                 outcome = "in"
                 break
@@ -412,7 +428,8 @@ def run_trajectory(initial: HilbertState, config: IntegratorConfig, pairs=(), se
                 break
 
     if times[-1] != state.time:
-        record(state, ops)
+        # only an absorbing step ends a run unrecorded; its split is at hand
+        record(state, in_mask, w_in)
     return TrajectoryRecord(
         times=np.asarray(times),
         weight_in=np.asarray(w_in_series),

@@ -21,8 +21,7 @@ per pair next to its unitary stepper and hands it to every per-step
 consumer, so the fields are computed once per run and freed with it;
 there is no cache that outlives the run. Callers that pass no geometry
 get a throwaway one per call, so a one-shot evaluation holds no more
-full-size fields than it needs. The public ``potential_*`` functions
-are reads of such a throwaway geometry.
+full-size fields than it needs.
 """
 
 from __future__ import annotations
@@ -48,9 +47,6 @@ __all__ = [
     "InteractionPair",
     "PairGeometry",
     "separation_components",
-    "potential_field",
-    "potential_gradient",
-    "potential_laplacian",
     "kinetic_symbol",
     "hamiltonian_operator",
     "commutator_residual",
@@ -357,35 +353,6 @@ class PairGeometry:
         d = self.basis.grid.dims
         potential = self.pair.potential
         return _frozen(2.0 * d * potential.dvalue_u(u) + 4.0 * u * potential.d2value_u(u))
-
-
-def potential_field(basis: GridBasis, pair: InteractionPair) -> np.ndarray:
-    """Diagonal potential values over configuration space."""
-    return PairGeometry(basis, pair).values
-
-
-def potential_gradient(basis: GridBasis, pair: InteractionPair, particle: int) -> list[np.ndarray]:
-    """Analytic gradient of the pair potential w.r.t. one particle.
-
-    Returns one field per spatial dimension. The gradients w.r.t. the
-    two members are exact negatives of each other at every grid point:
-    grad_k V = -grad_j V, since V depends only on x_j - x_k.
-    """
-    if particle not in (pair.j, pair.k):
-        raise ValueError("particle %d is not a member of the pair" % particle)
-    grad = PairGeometry(basis, pair).gradient
-    if particle == pair.j:
-        return list(grad)
-    return [-g for g in grad]
-
-
-def potential_laplacian(basis: GridBasis, pair: InteractionPair) -> np.ndarray:
-    """Analytic Laplacian w.r.t. either particle (equal for both).
-
-    For V(u), u = |r|^2 in D spatial dimensions:
-    lap V = 2 D V'(u) + 4 u V''(u).
-    """
-    return PairGeometry(basis, pair).laplacian
 
 
 def _geometries(basis: GridBasis, pairs, geometries):

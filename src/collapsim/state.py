@@ -268,23 +268,27 @@ def branch_decompose(state: HilbertState, v_op) -> BranchDecomposition:
     already centered diagonal leaves the masks unchanged because the
     state average of the centered values is zero.
     """
-    values = _diagonal_of(v_op)
-    dens = state.density()
-    total = dens.sum() * state.basis.weight
-    if total == 0.0:
-        raise ValueError("zero state has no branch decomposition")
-    mean = (dens * values).sum() * state.basis.weight / total
-    centered = values - mean
-    in_mask = centered > 0.0
-    out_mask = ~in_mask
-    w_in = float((dens * in_mask).sum() * state.basis.weight / total)
+    in_mask, w_in, centered = _branch_split(state, _diagonal_of(v_op))
     return BranchDecomposition(
         in_mask=in_mask,
-        out_mask=out_mask,
+        out_mask=~in_mask,
         weight_in=w_in,
         weight_out=1.0 - w_in,
         centered=centered,
     )
+
+
+def _branch_split(state: HilbertState, values):
+    """(in_mask, weight_in, centered) of ``branch_decompose`` without
+    building the decomposition, for stepping loops that split every
+    step."""
+    dens = state.density()
+    total = dens.sum() * state.basis.weight
+    if total == 0.0:
+        raise ValueError("zero state has no branch decomposition")
+    centered = values - (dens * values).sum() * state.basis.weight / total
+    in_mask = centered > 0.0
+    return in_mask, float((dens * in_mask).sum() * state.basis.weight / total), centered
 
 
 def gaussian_packet(basis: GridBasis, centers, widths, momenta=None) -> HilbertState:

@@ -25,7 +25,7 @@ from collapsim.collapse import (
     total_diagonal,
 )
 from collapsim.constants import EV, HBAR
-from collapsim.operators import GaussianWell, InteractionPair, SoftCoulomb, potential_field
+from collapsim.operators import GaussianWell, InteractionPair, PairGeometry, SoftCoulomb
 from collapsim.state import (
     FiniteBasis,
     GridBasis,
@@ -286,7 +286,7 @@ def test_collapse_operator_is_norm_centered():
     mean = (dens * op.scaled_values).sum() / dens.sum()
     assert abs(mean) < 1e-10 * np.max(np.abs(op.scaled_values))
     # positive region of the diagonal is exactly the interacting branch
-    v = potential_field(basis, pair)
+    v = PairGeometry(basis, pair).values
     dens_mean = (dens * v).sum() / dens.sum()
     assert np.array_equal(op.scaled_values > 0, np.broadcast_to(v - dens_mean, basis.shape) > 0)
 

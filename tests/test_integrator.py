@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from collapsim import collapse as collapse_module
+from collapsim import integrator as integrator_module
 from collapsim.collapse import collapse_from_diagonal, collapse_sum, total_diagonal
 from collapsim.integrator import (
     IntegratorConfig,
@@ -218,6 +219,17 @@ def test_renormalized_step_reports_prior_norm():
     assert diag.norm_before_renormalize != 1.0
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_renormalizing_a_non_finite_state_raises(bad):
+    state = finite_state(FiniteBasis(("in", "out")), [bad, 0.6])
+    with pytest.raises(FloatingPointError, match="norm"):
+        ito_step(state, [], 0.0, IntegratorConfig(dt=0.01, n_steps=1))
+    # without renormalization the step reports the norm it produced
+    _, diag = ito_step(state, [], 0.0,
+                       IntegratorConfig(dt=0.01, n_steps=1, renormalize=False))
+    assert not np.isfinite(diag.norm_before_renormalize)
+
+
 def test_kappa_zero_is_bit_identical_to_reference_finite():
     basis = FiniteBasis(("in", "out"))
     state = finite_state(basis, [0.8, 0.6j])
@@ -245,7 +257,8 @@ def test_kappa_zero_is_bit_identical_to_reference_grid():
 
 
 def test_zero_gain_grid_run_skips_the_rate(monkeypatch):
-    # at kappa = 0 the rate scales nothing, so no step computes it
+    # at kappa = 0 the rate scales nothing, so no step computes it;
+    # otherwise each step taken computes it once
     calls = []
     original = collapse_module.rate_numerator
 
@@ -260,7 +273,43 @@ def test_zero_gain_grid_run_skips_the_rate(monkeypatch):
         cfg = IntegratorConfig(dt=0.005, n_steps=5, kappa=kappa, stop_on_absorb=False)
         rec = run_trajectory(state, cfg, pairs=(pair,), seed=3)
         assert rec.steps_taken == 5
-        assert (len(calls) > 0) == (kappa > 0)
+        assert len(calls) == (rec.steps_taken if kappa > 0 else 0)
+
+
+def test_finite_run_work_counts(monkeypatch):
+    # one operator and one step per step taken, none after the last step
+    # or an absorbing one, and a draw only where the diagonal is nonzero
+    built, stepped, drawn = [], [], []
+    build, step, draw = (integrator_module.collapse_from_diagonal,
+                         integrator_module.ito_step, WienerProcess.increment)
+
+    def counting_build(*args, **kwargs):
+        op = build(*args, **kwargs)
+        built.append(bool(op.scaled_values.any()))
+        return op
+
+    def counting_step(*args, **kwargs):
+        stepped.append(1)
+        return step(*args, **kwargs)
+
+    def counting_draw(self, dt):
+        drawn.append(1)
+        return draw(self, dt)
+
+    monkeypatch.setattr(integrator_module, "collapse_from_diagonal", counting_build)
+    monkeypatch.setattr(integrator_module, "ito_step", counting_step)
+    monkeypatch.setattr(WienerProcess, "increment", counting_draw)
+    for overrides, absorbs in ((dict(), True),
+                               (dict(n_steps=25, absorb_threshold=1e-6), False),
+                               (dict(n_steps=25, kappa=0.0), False)):
+        del built[:], stepped[:], drawn[:]
+        cfg = _two_level_config(**overrides)
+        rec = run_trajectory(_two_level(0.5), cfg, seed=1,
+                             finite_potential=TWO_LEVEL_DIAG)
+        assert (rec.outcome is not None) == absorbs
+        assert (rec.steps_taken < cfg.n_steps) == absorbs
+        assert len(built) == len(stepped) == rec.steps_taken
+        assert len(drawn) == sum(built) == (rec.steps_taken if cfg.kappa else 0)
 
 
 # ------------------------------------------------- density change bookkeeping
@@ -410,6 +459,75 @@ def test_trajectory_weight_series_matches_step_count():
     assert rec.steps_taken == 30
     assert rec.times.size == 31
     assert rec.max_norm_drift < 0.5
+
+
+def _reference_trajectory(amp, values, cfg, seed):
+    """The two-level loop written straight from the equations: centre V
+    on the state, shift by 1 + D dxi - D^2 dt / 2, renormalise, and take
+    the weight as the density where V - <V> > 0."""
+    wiener = WienerProcess(seed, real_noise=cfg.real_noise)
+    scale = cfg.kappa * np.sqrt(cfg.gamma_override) / cfg.energy_denominator
+    theta = cfg.absorb_threshold
+
+    def centre(amp):
+        dens = (np.conj(amp) * amp).real
+        total = dens.sum()
+        centred = values - float((dens * values).sum() / total)
+        return centred, float((dens * (centred > 0.0)).sum() / total)
+
+    centred, w = centre(amp)
+    weights, norms, outcome = [w], [], None
+    for step in range(1, cfg.n_steps + 1):
+        d = scale * centred
+        xi = wiener.increment(cfg.dt) if np.any(d != 0.0) else 0.0
+        amp = amp * (1.0 + d * xi - 0.5 * d * d * cfg.dt)
+        norms.append(float(np.sqrt(np.vdot(amp, amp).real)))
+        amp = amp / norms[-1]
+        centred, w = centre(amp)
+        recorded = step % cfg.record_every == 0 or step == cfg.n_steps
+        if recorded:
+            weights.append(w)
+        if cfg.stop_on_absorb and (w >= 1.0 - theta or w <= theta):
+            outcome = "in" if w >= 1.0 - theta else "out"
+            break
+    if not recorded:
+        weights.append(w)
+    return np.array(weights), np.array(norms), outcome, step
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(record_every=3),
+    dict(real_noise=True),
+    dict(n_steps=25, absorb_threshold=1e-6),
+    dict(n_steps=60, record_every=7, stop_on_absorb=False),
+])
+def test_two_level_run_matches_reference_loop(overrides):
+    cfg = _two_level_config(**overrides)
+    outcomes = set()
+    for seed in range(5):
+        state = _two_level(0.37, phase=0.4)
+        rec = run_trajectory(state, cfg, seed=seed, finite_potential=TWO_LEVEL_DIAG)
+        weights, norms, outcome, steps = _reference_trajectory(
+            state.amplitudes, TWO_LEVEL_DIAG, cfg, seed)
+        assert np.array_equal(rec.weight_in, weights)
+        assert np.array_equal(rec.norms_before_renormalize, norms)
+        assert (rec.outcome, rec.steps_taken) == (outcome, steps)
+        outcomes.add(outcome)
+    # the capped runs stay unresolved, the others all absorb
+    capped = "n_steps" in overrides
+    assert outcomes == {None} if capped else None not in outcomes
+
+
+def test_collapsed_two_level_state_keeps_its_branch_weight():
+    # past the reference loop's reach: once the out level holds less than
+    # 2**-53 of the density, a one-pass V - <V> rounds to zero on the in
+    # level and would put the whole state in the out branch
+    cfg = _two_level_config(n_steps=400, stop_on_absorb=False)
+    rec = run_trajectory(_two_level(0.37, phase=0.4), cfg, seed=13,
+                         finite_potential=TWO_LEVEL_DIAG)
+    dens = np.abs(rec.final_state.amplitudes) ** 2
+    assert 0.0 < dens[1] < 2.0 ** -53 * dens[0]
+    assert rec.weight_in[-1] == 1.0
 
 
 def test_ensemble_is_deterministic_and_padded():

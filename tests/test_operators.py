@@ -16,9 +16,6 @@ from collapsim.operators import (
     commutator_residual,
     derivative1,
     kinetic_symbol,
-    potential_field,
-    potential_gradient,
-    potential_laplacian,
 )
 from collapsim.state import GridBasis, GridSpec, HilbertState, ParticleSpec, expectation, gaussian_packet, normalize
 
@@ -205,9 +202,8 @@ def test_soft_coulomb_frozen_values():
     basis = pair_basis(n=64, extent=8.0)
     pot = SoftCoulomb(2.0, 0.5)
     pair = InteractionPair(0, 1, pot)
-    v = potential_field(basis, pair)
-    g = potential_gradient(basis, pair, particle=0)[0]
-    lap = potential_laplacian(basis, pair)
+    geometry = PairGeometry(basis, pair)
+    v, g, lap = geometry.values, geometry.gradient[0], geometry.laplacian
     val, r = _field_at_separation(basis, v, 1.0)
     assert r == 1.0  # h = 0.25 puts r = 1 exactly on the grid
     assert abs(val - SOFT_VALUE_R1) < 1e-12
@@ -227,7 +223,7 @@ def test_gaussian_well_frozen_values():
     assert abs(2.0 * 1.2 * pot.dvalue_u(u) - GAUSS_GRAD_R12) < 1e-12
     assert abs(2.0 * pot.dvalue_u(u) + 4.0 * u * pot.d2value_u(u) - GAUSS_LAP_R12) < 1e-12
     # laplacian at contact (1-D): -strength / width^2
-    lap = potential_laplacian(basis, pair)
+    lap = PairGeometry(basis, pair).laplacian
     lval, r = _field_at_separation(basis, lap, 0.0)
     assert r == 0.0
     assert abs(lval - 0.8 / 0.49) < 1e-12
@@ -236,19 +232,10 @@ def test_gaussian_well_frozen_values():
 def test_soft_coulomb_gradient_vanishes_at_contact():
     basis = pair_basis(n=64, extent=8.0)
     pair = InteractionPair(0, 1, SoftCoulomb(2.0, 0.5))
-    g = potential_gradient(basis, pair, particle=0)[0]
+    g = PairGeometry(basis, pair).gradient[0]
     gval, r = _field_at_separation(basis, g, 0.0)
     assert r == 0.0
     assert gval == 0.0
-
-
-def test_gradient_antisymmetry_exact_everywhere():
-    basis = pair_basis(n=32, extent=4.0, dims=2)
-    pair = InteractionPair(0, 1, GaussianWell(1.3, 0.9))
-    for d in range(2):
-        gj = potential_gradient(basis, pair, particle=0)[d]
-        gk = potential_gradient(basis, pair, particle=1)[d]
-        assert np.array_equal(gj, -gk)
 
 
 def test_translation_invariance_under_grid_shift():
@@ -256,7 +243,7 @@ def test_translation_invariance_under_grid_shift():
     # particles by whole cells reproduces the field bit for bit
     basis = pair_basis(n=64, extent=8.0)
     pair = InteractionPair(0, 1, SoftCoulomb(1.5, 1.0))
-    v = np.broadcast_to(potential_field(basis, pair), basis.shape)
+    v = np.broadcast_to(PairGeometry(basis, pair).values, basis.shape)
     assert np.array_equal(np.roll(v, (3, 3), axis=(0, 1)), v)
 
 
@@ -314,7 +301,7 @@ def test_momentum_potential_commutator_refines_at_order_two():
         basis = pair_basis(n=n, extent=8.0)
         pair = InteractionPair(0, 1, pot)
         psi = normalize(gaussian_packet(basis, [-2.0, 2.0], [1.0, 1.0], [1.0, -1.0]))
-        v = potential_field(basis, pair)
+        v = PairGeometry(basis, pair).values
         res = commutator_residual(MomentumOperator(basis, 0, "stencil"), v, psi)
         residuals.append(res)
     ratio = residuals[0] / residuals[1]
@@ -327,7 +314,7 @@ def test_momentum_potential_commutator_spectral_tiny():
     basis = pair_basis(n=128, extent=16.0)
     pair = InteractionPair(0, 1, GaussianWell(1.2, 1.0))
     psi = normalize(gaussian_packet(basis, [-3.0, 3.0], [1.2, 1.2], [1.0, -1.0]))
-    v = potential_field(basis, pair)
+    v = PairGeometry(basis, pair).values
     res = commutator_residual(MomentumOperator(basis, 0, "spectral"), v, psi)
     assert res < 1e-10
 
@@ -336,7 +323,7 @@ def test_kinetic_does_not_commute_with_potential():
     basis = pair_basis(n=64, extent=8.0)
     pair = InteractionPair(0, 1, GaussianWell(1.2, 1.0))
     psi = normalize(gaussian_packet(basis, [-1.0, 1.0], [1.0, 1.0]))
-    v = potential_field(basis, pair)
+    v = PairGeometry(basis, pair).values
     res = commutator_residual(KineticOperator(basis, "spectral"), v, psi)
     assert res > 1e-3
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from collapsim.operators import DiagonalOperator, GaussianWell, IdentityOperator, InteractionPair, potential_field
+from collapsim.operators import (DiagonalOperator, GaussianWell, IdentityOperator, InteractionPair,
+                                 PairGeometry)
 from collapsim.state import (
     BranchDecomposition,
     FiniteBasis,
@@ -165,7 +166,7 @@ def test_grid_branch_weights_match_mask_quadrature():
     basis = GridBasis(grid, (ParticleSpec(1.0), ParticleSpec(1.0)))
     pair = InteractionPair(0, 1, GaussianWell(2.0, 0.8))
     psi = normalize(gaussian_packet(basis, [-1.0, 1.0], [1.0, 1.0]))
-    v = potential_field(basis, pair)
+    v = PairGeometry(basis, pair).values
     dec = branch_decompose(psi, DiagonalOperator(v))
 
     # independent quadrature of the same masks
