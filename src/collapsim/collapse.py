@@ -82,6 +82,21 @@ def _geometry(basis, pair, geometry):
     return geometry if geometry is not None else PairGeometry(basis, pair)
 
 
+def _interaction_mean(state: HilbertState, pair: InteractionPair,
+                      geometry: PairGeometry | None):
+    """The pair's geometry on a grid state, and <V> of the state;
+    raises ``DegenerateProjectionError`` on a degenerate overlap."""
+    basis = state.basis
+    if not isinstance(basis, GridBasis):
+        raise TypeError("the interaction-weighted component needs a grid-backed state")
+    geometry = _geometry(basis, pair, geometry)
+    mean = _mean_potential(state, geometry.values)
+    if abs(mean) <= DEGENERATE_RTOL * pair.potential.max_magnitude():
+        raise DegenerateProjectionError(
+            "interaction expectation %.3e is degenerate" % mean)
+    return geometry, mean
+
+
 def interacting_component(state: HilbertState, pair: InteractionPair,
                           geometry: PairGeometry | None = None) -> HilbertState:
     """Interaction-weighted component (V/<V>) psi. Grid backend only.
@@ -90,29 +105,8 @@ def interacting_component(state: HilbertState, pair: InteractionPair,
     1e-14 times the potential's peak magnitude, i.e. when the state
     has no overlap with the interaction.
     """
-    basis = state.basis
-    if not isinstance(basis, GridBasis):
-        raise TypeError("interacting_component needs a grid-backed state")
-    v = _geometry(basis, pair, geometry).values
-    mean = _mean_potential(state, v)
-    if abs(mean) <= DEGENERATE_RTOL * pair.potential.max_magnitude():
-        raise DegenerateProjectionError(
-            "interaction expectation %.3e is degenerate" % mean)
-    return state.with_amplitudes((v / mean) * state.amplitudes)
-
-
-def _gradient_dot_relative(basis, pair, amp, scheme, geometry):
-    """sum_d grad_j V_d * (d_j psi / m_j - d_k psi / m_k), as a field."""
-    h = basis.grid.spacing
-    mj = basis.particles[pair.j].mass
-    mk = basis.particles[pair.k].mass
-    grads = _geometry(basis, pair, geometry).gradient
-    out = np.zeros(basis.shape, dtype=np.complex128)
-    for d in range(basis.grid.dims):
-        dj = derivative1(amp, basis.particle_axis(pair.j, d), h, scheme)
-        dk = derivative1(amp, basis.particle_axis(pair.k, d), h, scheme)
-        out += grads[d] * (dj / mj - dk / mk)
-    return out
+    geometry, mean = _interaction_mean(state, pair, geometry)
+    return state.with_amplitudes((geometry.values / mean) * state.amplitudes)
 
 
 def rate_numerator(state: HilbertState, pair: InteractionPair, scheme="spectral",
@@ -121,18 +115,29 @@ def rate_numerator(state: HilbertState, pair: InteractionPair, scheme="spectral"
 
     Equal to |d<V>/dt| of the normalized interaction-weighted
     component under the pair Hamiltonian, evaluated from analytic
-    potential derivatives instead of a time difference.
+    potential derivatives instead of a time difference. With x = V psi
+    and g_d = d V / d x_{j,d} it is the ratio of inner products
+
+        [(1/2mj + 1/2mk) <x|lap V x>
+         + sum_d (<g_d x|d_{j,d} x>/mj - <g_d x|d_{k,d} x>/mk)] / <x|x>,
+
+    in which the 1/<V> factor and the normalisation cancel.
     """
     basis = state.basis
-    comp = normalize(interacting_component(state, pair, geometry))
-    amp = comp.amplitudes
+    geometry, _ = _interaction_mean(state, pair, geometry)
+    x = geometry.values * state.amplitudes
+    norm_sq = np.vdot(x, x).real
+    if norm_sq == 0.0 or not math.isfinite(norm_sq):
+        raise ValueError("cannot normalize state with squared norm %r" % norm_sq)
+    h = basis.grid.spacing
     mj = basis.particles[pair.j].mass
     mk = basis.particles[pair.k].mass
-    lap = _geometry(basis, pair, geometry).laplacian
-    term1 = comp.density() * lap * (0.5 / mj + 0.5 / mk)
-    term2 = amp.conj() * _gradient_dot_relative(basis, pair, amp, scheme, geometry)
-    integral = (term1 + term2).sum() * basis.weight
-    return float(abs(integral))
+    integral = (0.5 / mj + 0.5 / mk) * np.vdot(x, geometry.laplacian * x).real
+    for d, grad in enumerate(geometry.gradient):
+        gx = grad * x
+        integral += np.vdot(gx, derivative1(x, basis.particle_axis(pair.j, d), h, scheme)) / mj
+        integral -= np.vdot(gx, derivative1(x, basis.particle_axis(pair.k, d), h, scheme)) / mk
+    return float(abs(integral / norm_sq))
 
 
 def _relative_derivative(basis, pair, amp, d, scheme):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import IntegratorConfig, SCHEMES
+from .integrator import OBSERVABLES, SCHEMES, IntegratorConfig
 from .operators import GaussianWell, InteractionPair, SoftCoulomb
 from .state import FiniteBasis, GridBasis, GridSpec, ParticleSpec, finite_state, gaussian_packet, normalize
 from .walk import MODES as WALK_MODES
@@ -36,7 +36,9 @@ __all__ = [
 ]
 
 # 2: NaN (an empty branch's conditional expectation) is written as null
-ARTIFACT_VERSION = 2
+# 3: spectral derivatives are dense matrix products; grid numbers move
+#    at rounding level
+ARTIFACT_VERSION = 3
 
 SCENARIOS = (
     "free_packet",
@@ -359,7 +361,7 @@ def _validate(scenario: str, tree: dict) -> None:
     if "numerics" in tree:
         _number(tree, "numerics.dt", positive=True)
         _number(tree, "numerics.n_steps", positive=True, integer=True)
-        _choice(tree, "numerics.scheme", SCHEMES)
+        _choice(tree, "numerics.scheme", tuple(SCHEMES))
         _number(tree, "numerics.record_every", positive=True, integer=True)
         threshold = _number(tree, "numerics.absorb_threshold", positive=True)
         if not threshold < 0.5:
@@ -371,6 +373,19 @@ def _validate(scenario: str, tree: dict) -> None:
         observables = _get(tree, "numerics.record_observables")
         if not isinstance(observables, list):
             raise ConfigError("numerics.record_observables", "expected a list")
+        for name in observables:
+            if name not in OBSERVABLES:
+                raise ConfigError("numerics.record_observables",
+                                  "unknown observable %r; choose from %s"
+                                  % (name, list(OBSERVABLES)))
+            if scenario not in _GRID_PARTICLES:
+                # the finite-basis runners pass no Hamiltonian to observe
+                raise ConfigError("numerics.record_observables",
+                                  "a finite-basis run records no observables, got %r"
+                                  % (name,))
+            if name in ("momentum_y", "angular_momentum") and grid.dims < 2:
+                raise ConfigError("numerics.record_observables",
+                                  "%r needs grid.dims >= 2" % (name,))
         if (scenario in _GRID_PARTICLES and scenario != "conservation_suite"
                 and _get(tree, "numerics.scheme") == "crank_nicolson_stencil"):
             _check_stencil_dt(tree, "numerics.dt", grid.dims,

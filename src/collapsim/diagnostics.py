@@ -205,38 +205,43 @@ class EnergyDeviationTerms:
 
 
 def _diagonal_derivative_fields(basis: GridBasis, collapse_ops, scheme: str):
-    """Per-axis first derivatives and per-axis-mass-weighted second
-    derivative sum of the full collapse diagonal.
+    """Per-axis first derivatives of the full collapse diagonal, and the
+    (coefficient, field) pairs whose weighted sum is its per-axis-mass
+    weighted second derivative sum.
 
+    An axis no operator reaches has no first-derivative field (None).
     Operators carrying their interaction pair use the closed-form
     potential derivatives (exact, no ringing at the wrap seam), read
     from the operator's pair geometry when it kept one; bare diagonals
     fall back to numerical differentiation.
     """
     h = basis.grid.spacing
-    dims = basis.grid.dims
-    grads = [np.zeros(basis.shape) for _ in range(basis.n_axes)]
-    weighted_lap = np.zeros(basis.shape)
+    grads = [None] * basis.n_axes
+    laplacians = []
+
+    def add(axis, field):
+        grads[axis] = field if grads[axis] is None else grads[axis] + field
+
     for op in collapse_ops:
-        factor = op.kappa * np.sqrt(op.gamma) / op.energy_denominator
         if op.pair is not None:
             pair = op.pair
+            factor = op.kappa * np.sqrt(op.gamma) / op.energy_denominator
             geometry = op.geometry if op.geometry is not None else PairGeometry(basis, pair)
-            lap = geometry.laplacian
-            # grad_k V = -grad_j V exactly
-            for particle, orient in ((pair.j, 1.0), (pair.k, -1.0)):
-                mass = basis.particles[particle].mass
-                for d in range(dims):
-                    axis = basis.particle_axis(particle, d)
-                    grads[axis] = grads[axis] + orient * factor * geometry.gradient[d]
-                weighted_lap = weighted_lap + factor * lap / (2.0 * mass)
+            for d, grad in enumerate(geometry.gradient):
+                field = factor * grad
+                add(basis.particle_axis(pair.j, d), field)
+                # grad_k V = -grad_j V exactly
+                add(basis.particle_axis(pair.k, d), -field)
+            mj = basis.particles[pair.j].mass
+            mk = basis.particles[pair.k].mass
+            laplacians.append((factor * (0.5 / mj + 0.5 / mk), geometry.laplacian))
         else:
             for axis in range(basis.n_axes):
                 first = derivative1(op.scaled_values, axis, h, scheme).real
-                second = derivative1(first, axis, h, scheme).real
-                grads[axis] = grads[axis] + first
-                weighted_lap = weighted_lap + second / (2.0 * basis.axis_mass(axis))
-    return grads, weighted_lap
+                add(axis, first)
+                laplacians.append((1.0 / (2.0 * basis.axis_mass(axis)),
+                                   derivative1(first, axis, h, scheme).real))
+    return grads, laplacians
 
 
 def energy_deviation_terms(state: HilbertState, collapse_ops,
@@ -245,32 +250,38 @@ def energy_deviation_terms(state: HilbertState, collapse_ops,
 
     Masses enter per particle. Derivatives of the state use ``scheme``;
     derivatives of the diagonal are analytic for pair-built operators.
+    With G_a the derivative of the summed diagonal along axis a, the
+    terms are the inner products sum_a (-1/m_a) <G_a psi|d_a psi>,
+    -<psi|sum_a d_a^2 D / (2 m_a)|psi> and sum_a (1/2m_a) ||G_a psi||^2,
+    each over <psi|psi>.
     """
     basis = state.basis
     if not isinstance(basis, GridBasis):
         raise TypeError("grid-backed state required")
     amp = state.amplitudes
-    weight = basis.weight
-    norm_sq = float(np.sum(np.abs(amp) ** 2) * weight)
+    norm_sq = float(np.vdot(amp, amp).real)
     if norm_sq == 0.0:
         raise ValueError("cannot analyze a zero state")
-    grads, weighted_lap = _diagonal_derivative_fields(basis, collapse_ops, scheme)
-    dens = (np.conj(amp) * amp).real
+    grads, laplacians = _diagonal_derivative_fields(basis, collapse_ops, scheme)
     h = basis.grid.spacing
 
     gradient_term = 0.0 + 0.0j
     positive = 0.0
-    for axis in range(basis.n_axes):
+    for axis, grad in enumerate(grads):
+        if grad is None:
+            continue
         mass = basis.axis_mass(axis)
-        d_amp = derivative1(amp, axis, h, scheme)
-        gradient_term += (-1.0 / mass) * np.sum(np.conj(amp) * grads[axis] * d_amp) * weight
-        positive += (1.0 / (2.0 * mass)) * float(np.sum(grads[axis] ** 2 * dens)) * weight
-    laplacian_term = -np.sum(weighted_lap * dens) * weight
+        g_amp = grad * amp
+        gradient_term += (-1.0 / mass) * np.vdot(g_amp, derivative1(amp, axis, h, scheme))
+        positive += (1.0 / (2.0 * mass)) * np.vdot(g_amp, g_amp).real
+    laplacian_term = 0.0
+    for coefficient, field in laplacians:
+        laplacian_term -= coefficient * np.vdot(amp, field * amp).real
 
     return EnergyDeviationTerms(
         gradient_term=complex(gradient_term) / norm_sq,
         laplacian_term=complex(laplacian_term) / norm_sq,
-        positive_definite_term=positive / norm_sq,
+        positive_definite_term=float(positive) / norm_sq,
     )
 
 

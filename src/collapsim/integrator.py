@@ -59,7 +59,12 @@ __all__ = [
     "run_ensemble",
 ]
 
-SCHEMES = ("split_step_spectral", "crank_nicolson_stencil")
+# stepping scheme -> scheme of the derivatives taken along its runs
+SCHEMES = {"split_step_spectral": "spectral", "crank_nicolson_stencil": "stencil"}
+# observables a run can record: any of them on a grid (momentum_y and
+# angular_momentum need at least two spatial dimensions), only energy on
+# a finite basis and only when the run is given its Hamiltonian
+OBSERVABLES = ("momentum", "momentum_y", "angular_momentum", "kinetic", "energy")
 
 
 @dataclass
@@ -90,7 +95,7 @@ class IntegratorConfig:
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {tuple(SCHEMES)}")
         if not self.kappa >= 0.0:
             raise ValueError("kappa must be non-negative")
         if not self.c > 0.0:
@@ -102,7 +107,7 @@ class IntegratorConfig:
 
     @property
     def derivative_scheme(self) -> str:
-        return "spectral" if self.scheme == "split_step_spectral" else "stencil"
+        return SCHEMES[self.scheme]
 
     def validate_grid(self, basis: GridBasis) -> None:
         """Stencil time steps must resolve the fastest lattice mode."""
@@ -131,7 +136,7 @@ class UnitaryStepper:
         self.scheme = scheme
         if isinstance(basis, GridBasis):
             self._mode = "grid"
-            symbol = kinetic_symbol(basis, scheme="spectral" if scheme == "split_step_spectral" else "stencil")
+            symbol = kinetic_symbol(basis, scheme=SCHEMES[scheme])
             if scheme == "split_step_spectral":
                 self._kinetic_phase = np.exp(-1j * dt * symbol)
             else:
@@ -272,25 +277,23 @@ def _build_observables(basis, names, config, pairs, hamiltonian, geometries):
     ops = {}
     scheme = config.derivative_scheme
     for name in names:
-        if isinstance(basis, GridBasis):
-            if name == "momentum":
-                ops[name] = MomentumOperator(basis, dim=0, scheme=scheme)
-            elif name == "momentum_y":
-                ops[name] = MomentumOperator(basis, dim=1, scheme=scheme)
-            elif name == "angular_momentum":
-                ops[name] = AngularMomentumZOperator(basis, scheme=scheme)
-            elif name == "kinetic":
-                ops[name] = KineticOperator(basis, scheme=scheme)
-            elif name == "energy":
-                ops[name] = hamiltonian_operator(basis, pairs, scheme=scheme,
-                                                 geometries=geometries)
-            else:
-                raise ValueError(f"unknown observable {name!r}")
-        else:
-            if name == "energy" and hamiltonian is not None:
-                ops[name] = hamiltonian
-            else:
+        if name not in OBSERVABLES:
+            raise ValueError(f"unknown observable {name!r}, expected one of {OBSERVABLES}")
+        if not isinstance(basis, GridBasis):
+            if name != "energy" or hamiltonian is None:
                 raise ValueError(f"observable {name!r} not available on a finite basis")
+            ops[name] = hamiltonian
+        elif name == "momentum":
+            ops[name] = MomentumOperator(basis, dim=0, scheme=scheme)
+        elif name == "momentum_y":
+            ops[name] = MomentumOperator(basis, dim=1, scheme=scheme)
+        elif name == "angular_momentum":
+            ops[name] = AngularMomentumZOperator(basis, scheme=scheme)
+        elif name == "kinetic":
+            ops[name] = KineticOperator(basis, scheme=scheme)
+        else:
+            ops[name] = hamiltonian_operator(basis, pairs, scheme=scheme,
+                                             geometries=geometries)
     return ops
 
 

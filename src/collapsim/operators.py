@@ -5,7 +5,13 @@ Grid derivative operators come in two discretizations:
 * ``"stencil"``: second-order centered differences with periodic wrap.
   Plane-wave symbols are (1 - cos kh)/(m h^2) for the kinetic term and
   sin(kh)/h for the first derivative.
-* ``"spectral"``: FFT differentiation, exact for band-limited states.
+* ``"spectral"``: Fourier differentiation, exact for band-limited
+  states. The symbol (i k per derivative, Nyquist mode included) is
+  applied to the identity once per axis length, spacing and order, and
+  the resulting dense n x n real-space matrix is applied along the axis
+  with one matrix product. It is the FFT operator up to rounding, and
+  at the grid sizes used here one product is cheaper than the
+  forward/inverse transform pair.
 
 Pair potentials are functions of the minimum-image separation of two
 particles, with analytic gradients and Laplacians (no finite
@@ -26,8 +32,9 @@ full-size fields than it needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,15 +73,39 @@ def _wavenumbers(n, spacing):
     return 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
 
 
+@lru_cache(maxsize=16)
+def _spectral_matrix(n, spacing, order):
+    """Read-only n x n matrix of the spectral derivative of ``order``.
+
+    Column j is the FFT derivative of the unit vector e_j, so the matrix
+    applies the same operator as the transform pair. A run touches a few
+    (n, spacing, order) keys; the bound only stops a long-lived process
+    that visits many grids from keeping every matrix.
+    """
+    k = _wavenumbers(n, spacing)
+    symbol = 1j * k if order == 1 else -(k ** 2)
+    matrix = np.fft.ifft(symbol[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _spectral_derivative(arr, axis, spacing, order):
+    shape = arr.shape
+    n = shape[axis]
+    axis %= arr.ndim
+    matrix = _spectral_matrix(n, float(spacing), order)
+    if axis == arr.ndim - 1:
+        return (arr.reshape(-1, n) @ matrix.T).reshape(shape)
+    # (pre, n, post): the matrix multiplies every post-column block
+    return (matrix @ arr.reshape(-1, n, math.prod(shape[axis + 1:]))).reshape(shape)
+
+
 def derivative1(arr, axis, spacing, scheme):
     """First derivative along one axis, periodic boundaries."""
     _check_scheme(scheme)
     if scheme == "stencil":
         return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * spacing)
-    k = _wavenumbers(arr.shape[axis], spacing)
-    shape = [1] * arr.ndim
-    shape[axis] = arr.shape[axis]
-    return np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(arr, axis=axis), axis=axis)
+    return _spectral_derivative(arr, axis, spacing, 1)
 
 
 def derivative2(arr, axis, spacing, scheme):
@@ -82,10 +113,7 @@ def derivative2(arr, axis, spacing, scheme):
     _check_scheme(scheme)
     if scheme == "stencil":
         return (np.roll(arr, -1, axis=axis) - 2.0 * arr + np.roll(arr, 1, axis=axis)) / (spacing * spacing)
-    k = _wavenumbers(arr.shape[axis], spacing)
-    shape = [1] * arr.ndim
-    shape[axis] = arr.shape[axis]
-    return np.fft.ifft(-(k.reshape(shape) ** 2) * np.fft.fft(arr, axis=axis), axis=axis)
+    return _spectral_derivative(arr, axis, spacing, 2)
 
 
 class LinearOperator:

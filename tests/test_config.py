@@ -11,6 +11,7 @@ from collapsim.config import (
     parse_config,
     parse_config_data,
 )
+from collapsim.integrator import OBSERVABLES
 
 
 def test_scenario_required_and_known():
@@ -136,11 +137,36 @@ def test_value_range_paths():
          "numerics.absorb_threshold"),
         ({"scenario": "free_packet", "output": {"formats": ["yaml"]}},
          "output.formats"),
+        # observables the run could not build must fail here, not in run
+        ({"scenario": "grid_scattering",
+          "numerics": {"record_observables": ["bogus"]}},
+         "numerics.record_observables"),
+        ({"scenario": "grid_scattering",
+          "numerics": {"record_observables": ["momentum_y"]}},
+         "numerics.record_observables"),
+        ({"scenario": "grid_scattering",
+          "numerics": {"record_observables": ["angular_momentum"]}},
+         "numerics.record_observables"),
+        ({"scenario": "two_level_collapse",
+          "numerics": {"record_observables": ["momentum"]}},
+         "numerics.record_observables"),
+        ({"scenario": "free_packet", "numerics": {"scheme": ["stencil"]}},
+         "numerics.scheme"),
     ]
     for data, path in cases:
         with pytest.raises(ConfigError) as err:
             parse_config_data(data)
         assert err.value.path == path, path
+
+
+def test_planar_grid_accepts_every_observable():
+    cfg = parse_config_data({
+        "scenario": "grid_scattering",
+        "grid": {"dims": 2, "points_per_axis": 16, "extent": 4.5},
+        "initial": {"centers": [-0.7, -0.35, 0.7, 0.35], "widths": [1.0] * 4,
+                    "momenta": [0.6, 0.0, -0.6, 0.0]},
+        "numerics": {"record_observables": list(OBSERVABLES)}})
+    assert cfg.integrator_config().record_observables == OBSERVABLES
 
 
 def test_potential_form_switch_replaces_subtree():
