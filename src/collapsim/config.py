@@ -4,27 +4,29 @@ Configs are JSON objects with a ``scenario`` selector plus sections for
 physics, grid, numerics, ensemble and output. Parsing fills defaults
 from the scenario catalog, rejects any key the catalog does not know
 (misspelled physics settings must fail loudly, not silently default),
-and names the exact dotted path in every diagnostic. The merged tree is
-canonical: serializing and reparsing reproduces it bit for bit, and its
-SHA-256 content hash is embedded in every output artifact.
+builds the objects the run will build so that their own range checks
+apply, and names the exact dotted path in every diagnostic. The merged
+tree is canonical: serializing and reparsing reproduces it bit for bit,
+and its SHA-256 content hash is embedded in every output artifact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import OBSERVABLES, SCHEMES, IntegratorConfig
+from .integrator import OBSERVABLES, IntegratorConfig
 from .operators import GaussianWell, InteractionPair, SoftCoulomb
 from .state import FiniteBasis, GridBasis, GridSpec, ParticleSpec, finite_state, gaussian_packet, normalize
-from .walk import MODES as WALK_MODES
 from .walk import WalkConfig
-from .experiments import ThermalInput
+from .experiments import ThermalInput, sweep_configs
 
 __all__ = [
     "SCENARIOS",
@@ -217,16 +219,54 @@ class ConfigError(ValueError):
         super().__init__("%s: %s" % (path, message))
 
 
-def _reject_unknown(user, known, path):
+# number leaves that may also be null
+_NULLABLE = ("walk.barrier", "thermal.collision_rate")
+
+
+def _check_tree(user, known, path=""):
+    """Reject unknown keys and every leaf whose type is not its default's.
+
+    Where the default is a number the leaf must be a finite number, never
+    a bool; where it is an int, an integer of at least 1 (at least 0 when
+    the default is 0: catalog ints are counts and seeds). A bool or string
+    default asks for the same type, and a list default for a list of its
+    first entry's type.
+    """
     for key, value in user.items():
         here = "%s.%s" % (path, key) if path else key
-        if not isinstance(known, dict) or key not in known:
+        if key not in known:
             raise ConfigError(here, "unknown key")
-        if isinstance(value, dict) and isinstance(known[key], dict):
-            _reject_unknown(value, known[key], here)
-        elif isinstance(value, dict) != isinstance(known[key], dict):
-            kind = "an object" if isinstance(known[key], dict) else "a plain value"
+        default = known[key]
+        if isinstance(value, dict) != isinstance(default, dict):
+            kind = "an object" if isinstance(default, dict) else "a plain value"
             raise ConfigError(here, "expected %s" % kind)
+        if isinstance(value, dict):
+            _check_tree(value, default, here)
+        else:
+            _check_leaf(value, default, here)
+
+
+def _check_leaf(value, default, path):
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(path, "expected a list, got %r" % (value,))
+        for item in value if default else ():
+            _check_leaf(item, default[0], path)
+    elif isinstance(default, (bool, str)):
+        if type(value) is not type(default):
+            raise ConfigError(path, "expected %s, got %r" % (
+                "true or false" if isinstance(default, bool) else "a string", value))
+    elif value is None and path in _NULLABLE:
+        return
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, "expected a number, got %r" % (value,))
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(path, "must be finite, got %r" % (value,))
+    elif isinstance(default, int) and (
+            isinstance(value, float) and not value.is_integer()
+            or value < min(default, 1)):
+        raise ConfigError(path, "expected an integer of at least %d, got %r"
+                          % (min(default, 1), value))
 
 
 def _deep_merge(base, user):
@@ -246,61 +286,33 @@ def _get(tree, path):
     return node
 
 
-def _is_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float))
+def _fields(tree, section, **renamed) -> dict:
+    """Config path of each field name a library message may start with."""
+    return {**{key: "%s.%s" % (section, key) for key in _get(tree, section)},
+            **renamed}
 
 
-def _nonfinite(value) -> bool:
-    # JSON's NaN and Infinity tokens parse to floats; ints are always finite
-    return isinstance(value, float) and not math.isfinite(value)
+@contextlib.contextmanager
+def _reported(default, fields):
+    """Raise a ValueError from a library object as a ConfigError.
 
-
-def _number(tree, path, positive=False, nonnegative=False, integer=False):
-    value = _get(tree, path)
-    if not _is_number(value):
-        raise ConfigError(path, "expected a number, got %r" % (value,))
-    if _nonfinite(value):
-        raise ConfigError(path, "must be finite, got %r" % (value,))
-    if integer and not float(value).is_integer():
-        raise ConfigError(path, "expected an integer, got %r" % (value,))
-    if positive and not value > 0:
-        raise ConfigError(path, "must be positive, got %r" % (value,))
-    if nonnegative and value < 0:
-        raise ConfigError(path, "cannot be negative, got %r" % (value,))
-    return value
-
-
-def _number_list(tree, path, length=None, positive=False):
-    values = _get(tree, path)
-    if not isinstance(values, list) or not values:
-        raise ConfigError(path, "expected a nonempty list")
-    for v in values:
-        if not _is_number(v):
-            raise ConfigError(path, "expected numbers, got %r" % (v,))
-        if _nonfinite(v):
-            raise ConfigError(path, "entries must be finite, got %r" % (v,))
-        if positive and not v > 0:
-            raise ConfigError(path, "entries must be positive, got %r" % (v,))
-    if length is not None and len(values) != length:
-        raise ConfigError(path, "expected %d entries, got %d" % (length, len(values)))
-    return values
-
-
-def _choice(tree, path, options):
-    value = _get(tree, path)
-    if value not in options:
-        raise ConfigError(path, "must be one of %s, got %r" % (sorted(options), value))
-    return value
-
-
-def _grid_spec(tree, path, dims) -> GridSpec:
-    """The grid of a section that carries ``points_per_axis`` and ``extent``."""
+    The path is that of the first word of the message found in ``fields``
+    (library field name -> config path), else ``default``.
+    """
     try:
-        return GridSpec(dims=dims,
-                        points_per_axis=int(_get(tree, path + ".points_per_axis")),
-                        extent=float(_get(tree, path + ".extent")))
+        yield
     except ValueError as exc:
+        path = next((fields[word] for word in re.findall(r"\w+", str(exc))
+                     if word in fields), default)
         raise ConfigError(path, str(exc)) from exc
+
+
+def _positive(tree, *paths) -> None:
+    """Positivity of the packet and suite parameters no library object checks."""
+    for path in paths:
+        value = _get(tree, path)
+        if not all(v > 0 for v in (value if isinstance(value, list) else [value])):
+            raise ConfigError(path, "must be positive, got %r" % (value,))
 
 
 def _grid_basis(tree, dims, points, extent) -> GridBasis:
@@ -310,70 +322,59 @@ def _grid_basis(tree, dims, points, extent) -> GridBasis:
     return GridBasis(grid, tuple(ParticleSpec(float(m)) for m in masses))
 
 
-def _check_stencil_dt(tree, path, dims, points, extent) -> None:
-    """Stencil stability of the time step at ``path`` on the given grid."""
-    config = IntegratorConfig(dt=float(_get(tree, path)), n_steps=1,
-                              scheme="crank_nicolson_stencil")
-    try:
-        config.validate_grid(_grid_basis(tree, dims, points, extent))
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+def _spectral_well(section) -> GaussianWell:
+    return GaussianWell(float(section["depth"]), float(section["well_width"]))
 
 
-def _validate(scenario: str, tree: dict) -> None:
-    _choice(tree, "backend", ("grid", "finite"))
-    if "output" in tree:
-        directory = _get(tree, "output.directory")
-        if not isinstance(directory, str) or not directory:
-            raise ConfigError("output.directory", "expected a nonempty string")
-        formats = _get(tree, "output.formats")
-        if (not isinstance(formats, list) or not formats
-                or any(f not in ("json", "csv") for f in formats)):
-            raise ConfigError("output.formats",
-                              "expected a nonempty subset of ['csv', 'json']")
-    if "ensemble" in tree:
-        _number(tree, "ensemble.n_traj", positive=True, integer=True)
-        _number(tree, "ensemble.master_seed", nonnegative=True, integer=True)
+def _validate(cfg: RunConfig) -> None:
+    """Cross-field rules, then the builders the scenario's runner calls.
+
+    The builders construct the library's objects but no arrays, and
+    those objects check every range; a ``ValueError`` from one is
+    reported at the config path of the field it names.
+    """
+    scenario, tree = cfg.scenario, cfg.data
+    output = tree["output"]
+    if not output["directory"]:
+        raise ConfigError("output.directory", "expected a nonempty string")
+    if not output["formats"] or any(f not in ("json", "csv")
+                                    for f in output["formats"]):
+        raise ConfigError("output.formats",
+                          "expected a nonempty subset of ['csv', 'json']")
 
     if scenario in _GRID_PARTICLES:
+        # a grid GridSpec rejects as a whole is reported at its section
+        with _reported("grid", {"extent": "grid.extent",
+                                "particle": "physics.masses"}):
+            basis = cfg.grid_basis()
         n_particles = _GRID_PARTICLES[scenario]
-        _number(tree, "grid.dims", positive=True, integer=True)
-        _number(tree, "grid.points_per_axis", positive=True, integer=True)
-        _number(tree, "grid.extent", positive=True)
-        grid = _grid_spec(tree, "grid", int(_get(tree, "grid.dims")))
-        _number_list(tree, "physics.masses", length=n_particles, positive=True)
-        _number_list(tree, "physics.charges", length=n_particles)
-        _number(tree, "physics.c", positive=True)
-        _number(tree, "physics.kappa", nonnegative=True)
-        if "potential" in tree["physics"]:
-            form = _choice(tree, "physics.potential.form", tuple(_FORM_DEFAULTS))
-            for key in _FORM_DEFAULTS[form]:
-                _number(tree, "physics.potential.%s" % key)
-            if form == "gaussian_well":
-                _number(tree, "physics.potential.width", positive=True)
-            else:
-                _number(tree, "physics.potential.softening", positive=True)
-        n_axes = int(_get(tree, "grid.dims")) * n_particles
-        _number_list(tree, "initial.centers", length=n_axes)
-        _number_list(tree, "initial.widths", length=n_axes, positive=True)
-        _number_list(tree, "initial.momenta", length=n_axes)
+        n_axes = basis.grid.dims * n_particles
+        for path, length in (("physics.masses", n_particles),
+                             ("physics.charges", n_particles),
+                             ("initial.centers", n_axes),
+                             ("initial.widths", n_axes),
+                             ("initial.momenta", n_axes)):
+            if len(_get(tree, path)) != length:
+                raise ConfigError(path, "expected %d entries, got %d"
+                                  % (length, len(_get(tree, path))))
+        _positive(tree, "initial.widths")
+        pot = tree["physics"].get("potential")
+        if pot is not None:
+            # the pair strength is the charges' product times the form's
+            key = "depth" if pot["form"] == "gaussian_well" else "strength"
+            strength = ("physics.potential." + key if pot[key] == 0
+                        else "physics.charges")
+            with _reported("physics.potential", _fields(
+                    tree, "physics.potential", strength=strength)):
+                cfg.pairs()
 
     if "numerics" in tree:
-        _number(tree, "numerics.dt", positive=True)
-        _number(tree, "numerics.n_steps", positive=True, integer=True)
-        _choice(tree, "numerics.scheme", tuple(SCHEMES))
-        _number(tree, "numerics.record_every", positive=True, integer=True)
-        threshold = _number(tree, "numerics.absorb_threshold", positive=True)
-        if not threshold < 0.5:
-            raise ConfigError("numerics.absorb_threshold",
-                              "must be below 0.5, got %r" % (threshold,))
-        for key in ("stop_on_absorb", "renormalize", "real_noise"):
-            if not isinstance(_get(tree, "numerics.%s" % key), bool):
-                raise ConfigError("numerics.%s" % key, "expected true or false")
-        observables = _get(tree, "numerics.record_observables")
-        if not isinstance(observables, list):
-            raise ConfigError("numerics.record_observables", "expected a list")
-        for name in observables:
+        with _reported("numerics", _fields(
+                tree, "numerics", kappa="physics.kappa", c="physics.c",
+                gamma_override="levels.gamma",
+                energy_denominator="levels.energy_denominator")):
+            icfg = cfg.integrator_config()
+        for name in icfg.record_observables:
             if name not in OBSERVABLES:
                 raise ConfigError("numerics.record_observables",
                                   "unknown observable %r; choose from %s"
@@ -383,49 +384,37 @@ def _validate(scenario: str, tree: dict) -> None:
                 raise ConfigError("numerics.record_observables",
                                   "a finite-basis run records no observables, got %r"
                                   % (name,))
-            if name in ("momentum_y", "angular_momentum") and grid.dims < 2:
+            if name in ("momentum_y", "angular_momentum") and basis.grid.dims < 2:
                 raise ConfigError("numerics.record_observables",
                                   "%r needs grid.dims >= 2" % (name,))
-        if (scenario in _GRID_PARTICLES and scenario != "conservation_suite"
-                and _get(tree, "numerics.scheme") == "crank_nicolson_stencil"):
-            _check_stencil_dt(tree, "numerics.dt", grid.dims,
-                              grid.points_per_axis, grid.extent)
+        if scenario in ("free_packet", "grid_scattering"):
+            with _reported("numerics.dt", {}):
+                icfg.validate_grid(basis)
 
     if scenario == "two_level_collapse":
-        labels = _get(tree, "levels.labels")
-        if (not isinstance(labels, list) or len(labels) != 2
-                or not all(isinstance(v, str) for v in labels)):
-            raise ConfigError("levels.labels", "expected two level names")
-        weight = _number(tree, "levels.weight_in", positive=True)
-        if not weight < 1.0:
-            raise ConfigError("levels.weight_in",
-                              "must lie strictly inside (0, 1), got %r" % (weight,))
-        _number_list(tree, "levels.diagonal", length=2)
-        _number(tree, "levels.gamma", positive=True)
-        _number(tree, "levels.energy_denominator", positive=True)
+        levels = tree["levels"]
+        for key in ("labels", "diagonal"):
+            if len(levels[key]) != 2:
+                raise ConfigError("levels." + key, "expected one entry per level, "
+                                  "got %d for two levels" % len(levels[key]))
+        if not 0.0 < levels["weight_in"] < 1.0:
+            raise ConfigError("levels.weight_in", "must lie strictly inside "
+                              "(0, 1), got %r" % (levels["weight_in"],))
+        with _reported("levels", _fields(tree, "levels")):
+            cfg.finite_system()
 
     if scenario == "eraser":
-        eps = _number_list(tree, "eraser.epsilons", positive=True)
-        if any(e >= 0.5 for e in eps):
-            raise ConfigError("eraser.epsilons", "kick sizes must be below 0.5")
-        _choice(tree, "eraser.mode", ("kick", "sde"))
-        _choice(tree, "eraser.sign", ("random", "plus", "minus"))
-        _number(tree, "eraser.n_steps", positive=True, integer=True)
-        _number(tree, "eraser.dt", positive=True)
+        eraser = tree["eraser"]
+        with _reported("eraser", _fields(tree, "eraser", epsilon="eraser.epsilons",
+                                         kick="eraser.epsilons")):
+            sweep_configs(eraser["epsilons"], n_traj=cfg.n_traj, mode=eraser["mode"],
+                          sign=eraser["sign"], n_steps=int(eraser["n_steps"]),
+                          dt=eraser["dt"])
 
     if scenario == "walk_scan":
-        scale = _number(tree, "walk.step_scale", positive=True)
-        if scale > 1.0:
-            raise ConfigError("walk.step_scale", "must be at most 1")
-        barrier = _get(tree, "walk.barrier")
-        if barrier is not None:
-            _number(tree, "walk.barrier", positive=True)
-            if not barrier < 0.5:
-                raise ConfigError("walk.barrier", "must be below 0.5")
-        _choice(tree, "walk.mode", WALK_MODES)
-        _number(tree, "walk.max_steps", positive=True, integer=True)
-        weights = _number_list(tree, "walk.weights")
-        theta = WalkConfig(step_scale=scale, barrier=barrier).barrier_value
+        with _reported("walk", _fields(tree, "walk")):
+            theta = cfg.walk_config().barrier_value
+        weights = tree["walk"]["weights"]
         if any(not theta < w < 1.0 - theta for w in weights):
             raise ConfigError("walk.weights",
                               "starting weights must lie strictly between the "
@@ -435,43 +424,34 @@ def _validate(scenario: str, tree: dict) -> None:
                               "the Born-rule fit needs at least two distinct weights")
 
     if scenario == "conservation_suite":
-        _number(tree, "angular.points_per_axis", positive=True, integer=True)
-        _number(tree, "angular.extent", positive=True)
-        _number(tree, "angular.separation", positive=True)
-        _number(tree, "angular.impact_offset")
-        _number(tree, "angular.width", positive=True)
-        _number(tree, "angular.momentum")
-        _number(tree, "angular.n_steps", positive=True, integer=True)
-        _number(tree, "angular.dt", positive=True)
-        _number(tree, "angular.spectral.points_per_axis", positive=True,
-                integer=True)
-        _number(tree, "angular.spectral.extent", positive=True)
-        _number(tree, "angular.spectral.separation", positive=True)
-        _number(tree, "angular.spectral.width", positive=True)
-        _number(tree, "angular.spectral.momentum")
-        _number(tree, "angular.spectral.depth")
-        _number(tree, "angular.spectral.well_width", positive=True)
-        angular = _grid_spec(tree, "angular", 2)
-        _grid_spec(tree, "angular.spectral", 2)
-        # the suite steps with the stencil scheme on grids twice as fine
-        # as the configured ones, whatever numerics.scheme says
-        _check_stencil_dt(tree, "numerics.dt", grid.dims,
-                          2 * grid.points_per_axis, grid.extent)
-        _check_stencil_dt(tree, "angular.dt", 2,
-                          2 * angular.points_per_axis, angular.extent)
-        low = _number(tree, "tolerances.stencil_ratio_low", positive=True)
-        high = _number(tree, "tolerances.stencil_ratio_high", positive=True)
-        if not low < high:
+        angular, spectral = tree["angular"], tree["angular"]["spectral"]
+        _positive(tree, "angular.separation", "angular.width",
+                  "angular.spectral.separation", "angular.spectral.width",
+                  "tolerances.stencil_ratio_low", "tolerances.stencil_ratio_high",
+                  "tolerances.spectral_residual")
+        tol = tree["tolerances"]
+        if not tol["stencil_ratio_low"] < tol["stencil_ratio_high"]:
             raise ConfigError("tolerances.stencil_ratio_high",
                               "must exceed tolerances.stencil_ratio_low")
-        _number(tree, "tolerances.spectral_residual", positive=True)
+        with _reported("angular", {"extent": "angular.extent"}):
+            _grid_basis(tree, 2, angular["points_per_axis"], angular["extent"])
+        with _reported("angular.spectral", {"extent": "angular.spectral.extent",
+                                            "strength": "angular.spectral.depth",
+                                            "width": "angular.spectral.well_width"}):
+            _grid_basis(tree, 2, spectral["points_per_axis"], spectral["extent"])
+            _spectral_well(spectral)
+        # the suite steps with the stencil scheme on grids twice as fine
+        # as the configured ones, whatever numerics.scheme says
+        for block, fine in (
+                ("numerics", cfg.grid_basis(2 * basis.grid.points_per_axis)),
+                ("angular", _grid_basis(tree, 2, 2 * angular["points_per_axis"],
+                                        angular["extent"]))):
+            with _reported(block + ".dt", {}):
+                cfg.suite_integrator_config(block).validate_grid(fine)
 
     if scenario == "thermal":
-        _number(tree, "thermal.temperature", nonnegative=True)
-        for key in ("mass", "mean_speed", "mean_separation", "particle_count"):
-            _number(tree, "thermal.%s" % key, positive=True)
-        if _get(tree, "thermal.collision_rate") is not None:
-            _number(tree, "thermal.collision_rate", positive=True)
+        with _reported("thermal", _fields(tree, "thermal")):
+            cfg.thermal_input()
 
 
 @dataclass(frozen=True)
@@ -564,8 +544,7 @@ class RunConfig:
                                           widths=(width,) * 4,
                                           momenta=(k, 0.0, -k, 0.0)))
         if spectral:
-            pairs = [InteractionPair(0, 1, GaussianWell(
-                float(section["depth"]), float(section["well_width"])))]
+            pairs = [InteractionPair(0, 1, _spectral_well(section))]
         else:
             pairs = self.pairs()
         return basis, state, pairs
@@ -644,16 +623,21 @@ def parse_config_data(data: dict) -> RunConfig:
         user.get("physics"), dict) else None
     if isinstance(pot, dict) and "potential" in defaults.get("physics", {}):
         form = pot.get("form", defaults["physics"]["potential"]["form"])
-        if form not in _FORM_DEFAULTS:
+        if form not in tuple(_FORM_DEFAULTS):
             raise ConfigError("physics.potential.form",
                               "must be one of %s, got %r"
                               % (sorted(_FORM_DEFAULTS), form))
         defaults["physics"]["potential"] = {"form": form, **_FORM_DEFAULTS[form]}
 
-    _reject_unknown(user, defaults, "")
-    merged = _deep_merge(defaults, user)
-    _validate(scenario, merged)
-    return RunConfig(scenario=scenario, data={"scenario": scenario, **merged})
+    _check_tree(user, defaults)
+    # the key only labels the catalog entry; every scenario has one backend
+    if user.get("backend", defaults["backend"]) != defaults["backend"]:
+        raise ConfigError("backend", "scenario %r runs on the %r backend, got %r"
+                          % (scenario, defaults["backend"], user["backend"]))
+    cfg = RunConfig(scenario=scenario,
+                    data={"scenario": scenario, **_deep_merge(defaults, user)})
+    _validate(cfg)
+    return cfg
 
 
 def parse_config(path: str) -> RunConfig:

@@ -34,6 +34,7 @@ __all__ = [
     "sa_rotation",
     "kick_cross_probability",
     "eraser_run",
+    "sweep_configs",
     "eraser_sweep",
     "BoundCheck",
     "eraser_bound_check",
@@ -88,8 +89,10 @@ class EraserConfig:
         norm_sq = abs(self.amplitudes[0]) ** 2 + abs(self.amplitudes[1]) ** 2
         if abs(norm_sq - 1.0) > 1e-9:
             raise ValueError("branch amplitudes must be normalized")
-        if self.n_steps < 1 or not self.dt > 0.0:
-            raise ValueError("sde mode needs n_steps >= 1 and dt > 0")
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be at least 1")
+        if not self.dt > 0.0:
+            raise ValueError("dt must be positive")
 
 
 @dataclass(frozen=True)
@@ -220,20 +223,26 @@ class EraserSweep:
                 "points": self.rows()}
 
 
+def sweep_configs(epsilons, n_traj: int = 100_000, mode: str = "kick",
+                  **config_kwargs) -> list[EraserConfig]:
+    """One ensemble config per kick size; the log fit needs two distinct."""
+    epsilons = [float(e) for e in epsilons]
+    if len(set(epsilons)) < 2:
+        raise ValueError("a sweep needs at least two distinct kick sizes")
+    if any(e <= 0.0 for e in epsilons):
+        raise ValueError("sweep kick sizes must be positive for the log fit")
+    return [EraserConfig(epsilon=eps, n_traj=n_traj, mode=mode, **config_kwargs)
+            for eps in epsilons]
+
+
 def eraser_sweep(epsilons, n_traj: int = 100_000, mode: str = "kick",
                  seed: int = 0, **config_kwargs) -> EraserSweep:
     """Run one ensemble per kick size and fit log cross vs log epsilon."""
-    epsilons = [float(e) for e in epsilons]
-    if len(epsilons) < 2:
-        raise ValueError("a sweep needs at least two kick sizes")
-    if any(e <= 0.0 for e in epsilons):
-        raise ValueError("sweep kick sizes must be positive for the log fit")
-    results = []
-    for i, eps in enumerate(epsilons):
-        cfg = EraserConfig(epsilon=eps, n_traj=n_traj, mode=mode, **config_kwargs)
-        # stride keeps sde-mode per-run seeds disjoint between points
-        results.append(eraser_run(cfg, seed=seed + i * n_traj))
-    x = np.log10(epsilons)
+    configs = sweep_configs(epsilons, n_traj, mode, **config_kwargs)
+    # stride keeps sde-mode per-run seeds disjoint between points
+    results = [eraser_run(cfg, seed=seed + i * n_traj)
+               for i, cfg in enumerate(configs)]
+    x = np.log10([cfg.epsilon for cfg in configs])
     y = np.log10([r.cross_term_probability for r in results])
     slope, intercept = np.polyfit(x, y, 1)
     return EraserSweep(results=tuple(results), slope=float(slope),

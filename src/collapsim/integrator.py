@@ -104,6 +104,10 @@ class IntegratorConfig:
             raise ValueError("absorb_threshold must lie in (0, 0.5)")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
+        if self.gamma_override is not None and not self.gamma_override > 0.0:
+            raise ValueError("gamma_override must be positive")
+        if self.energy_denominator is not None and not self.energy_denominator > 0.0:
+            raise ValueError("energy_denominator must be positive")
 
     @property
     def derivative_scheme(self) -> str:

@@ -48,6 +48,15 @@ def test_stability_violation_exits_2(tmp_path, capsys):
     assert "numerics.dt" in capsys.readouterr().err
 
 
+def test_run_rejects_a_single_kick_size_before_running(tmp_path, capsys):
+    path = write_config(tmp_path, "er.json",
+                        {"scenario": "eraser", "eraser": {"epsilons": [0.1]},
+                         "output": {"directory": str(tmp_path / "art")}})
+    assert main(["run", path]) == 2
+    assert "eraser.epsilons" in capsys.readouterr().err
+    assert not (tmp_path / "art").exists()
+
+
 def test_shortcut_rejects_wrong_scenario(tmp_path, capsys):
     path = write_config(tmp_path, "t.json", {"scenario": "thermal"})
     assert main(["eraser", path]) == 2

@@ -152,11 +152,48 @@ def test_value_range_paths():
          "numerics.record_observables"),
         ({"scenario": "free_packet", "numerics": {"scheme": ["stencil"]}},
          "numerics.scheme"),
+        # a config that validates must also construct
+        ({"scenario": "eraser", "eraser": {"epsilons": [0.1]}},
+         "eraser.epsilons"),
+        ({"scenario": "eraser", "eraser": {"epsilons": [0.1, 0.1]}},
+         "eraser.epsilons"),
+        ({"scenario": "grid_scattering",
+          "physics": {"potential": {"depth": 0.0}}}, "physics.potential.depth"),
+        ({"scenario": "grid_scattering", "physics": {"charges": [0.0, 1.0]}},
+         "physics.charges"),
+        ({"scenario": "two_level_collapse", "levels": {"labels": ["a", "a"]}},
+         "levels.labels"),
+        ({"scenario": "conservation_suite",
+          "angular": {"spectral": {"depth": 0.0}}}, "angular.spectral.depth"),
+        ({"scenario": "two_level_collapse", "physics": {"kappa": -1.0}},
+         "physics.kappa"),
+        # range checks the library makes keep the config path
+        ({"scenario": "two_level_collapse", "levels": {"gamma": 0.0}},
+         "levels.gamma"),
+        ({"scenario": "two_level_collapse",
+          "levels": {"energy_denominator": -2.0}}, "levels.energy_denominator"),
+        # every scenario runs on its own backend only
+        ({"scenario": "grid_scattering", "backend": "finite"}, "backend"),
     ]
     for data, path in cases:
         with pytest.raises(ConfigError) as err:
             parse_config_data(data)
         assert err.value.path == path, path
+
+
+def test_null_is_accepted_only_where_the_run_reads_it():
+    thermal = parse_config_data({"scenario": "thermal",
+                                 "thermal": {"collision_rate": None}})
+    assert thermal.thermal_input().rate == pytest.approx(500.0 / 3.4e-9)
+    walk = parse_config_data({"scenario": "walk_scan", "walk": {"barrier": None}})
+    assert walk.walk_config().barrier is None
+    for data, path in (({"scenario": "thermal", "thermal": {"mass": None}},
+                        "thermal.mass"),
+                       ({"scenario": "walk_scan", "walk": {"step_scale": None}},
+                        "walk.step_scale")):
+        with pytest.raises(ConfigError) as err:
+            parse_config_data(data)
+        assert err.value.path == path
 
 
 def test_planar_grid_accepts_every_observable():

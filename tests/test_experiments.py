@@ -111,8 +111,9 @@ def test_sweep_rows_carry_confidence_bounds():
 
 
 def test_sweep_input_validation():
-    with pytest.raises(ValueError, match="two"):
-        eraser_sweep([0.05])
+    for epsilons in ([0.05], [0.05, 0.05]):
+        with pytest.raises(ValueError, match="two"):
+            eraser_sweep(epsilons)
     with pytest.raises(ValueError, match="positive"):
         eraser_sweep([0.05, 0.0])
 

@@ -113,6 +113,14 @@ def test_config_validation_rejects_bad_values():
     assert IntegratorConfig(**good, scheme="crank_nicolson_stencil").derivative_scheme == "stencil"
 
 
+@pytest.mark.parametrize("field", ["gamma_override", "energy_denominator"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+def test_finite_rate_parameters_must_be_positive(field, value):
+    with pytest.raises(ValueError, match=field):
+        IntegratorConfig(dt=0.01, n_steps=3, **{field: value})
+    IntegratorConfig(dt=0.01, n_steps=3, **{field: None})
+
+
 def _pair_system(n=64, extent=8.0, masses=(1.0, 1.5), centers=(-0.8, 0.8),
                  widths=(0.9, 0.9), momenta=(0.0, 0.0), strength=-2.0, width=1.0):
     basis = GridBasis(GridSpec(1, n, extent),
