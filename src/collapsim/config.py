@@ -315,6 +315,21 @@ def _positive(tree, *paths) -> None:
             raise ConfigError(path, "must be positive, got %r" % (value,))
 
 
+def _inside_box(tree, path, extent) -> None:
+    """Packet centres on the box [-extent, extent) of their grid.
+
+    A list holds the centres themselves; a number v places two packets
+    at -v and +v. A packet centred off the box can have no density on
+    the grid, and its state then cannot be normalized.
+    """
+    value = _get(tree, path)
+    centres = value if isinstance(value, list) else [-value, value]
+    for centre in centres:
+        if not -extent <= centre < extent:
+            raise ConfigError(path, "packet centre %r lies outside the box "
+                              "[%r, %r)" % (centre, -extent, extent))
+
+
 def _grid_basis(tree, dims, points, extent) -> GridBasis:
     grid = GridSpec(dims=int(dims), points_per_axis=int(points),
                     extent=float(extent))
@@ -358,6 +373,7 @@ def _validate(cfg: RunConfig) -> None:
                 raise ConfigError(path, "expected %d entries, got %d"
                                   % (length, len(_get(tree, path))))
         _positive(tree, "initial.widths")
+        _inside_box(tree, "initial.centers", basis.grid.extent)
         pot = tree["physics"].get("potential")
         if pot is not None:
             # the pair strength is the charges' product times the form's
@@ -435,6 +451,9 @@ def _validate(cfg: RunConfig) -> None:
                               "must exceed tolerances.stencil_ratio_low")
         with _reported("angular", {"extent": "angular.extent"}):
             _grid_basis(tree, 2, angular["points_per_axis"], angular["extent"])
+        for path in ("angular.separation", "angular.impact_offset"):
+            _inside_box(tree, path, angular["extent"])
+        _inside_box(tree, "angular.spectral.separation", spectral["extent"])
         with _reported("angular.spectral", {"extent": "angular.spectral.extent",
                                             "strength": "angular.spectral.depth",
                                             "width": "angular.spectral.well_width"}):

@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .state import FiniteBasis, GridBasis, HilbertState
+from .state import GridBasis
 
 __all__ = [
     "LinearOperator",
@@ -56,7 +56,6 @@ __all__ = [
     "separation_components",
     "kinetic_symbol",
     "hamiltonian_operator",
-    "commutator_residual",
     "derivative1",
     "derivative2",
 ]
@@ -100,11 +99,61 @@ def _spectral_derivative(arr, axis, spacing, order):
     return (matrix @ arr.reshape(-1, n, math.prod(shape[axis + 1:]))).reshape(shape)
 
 
+def _stencil_derivative(arr, axis, spacing, order):
+    """Centered periodic difference along one axis, in one fresh array.
+
+    Order 1 is (a[i+1] - a[i-1]) / 2h and order 2 is
+    ((a[i+1] - 2 a[i]) + a[i-1]) / h^2, in the order of the written
+    formula, so the numbers are those of the ``np.roll`` form. In a
+    C-ordered array the neighbours along ``axis`` sit ``step`` elements
+    away in the flat order, so one pass of ``out=`` ufuncs over the flat
+    arrays gets every point whose neighbours are inside the axis, with
+    long contiguous loops on every axis; the first and last index along
+    the axis are then rewritten from their periodic neighbours. Only an
+    input that is not C-contiguous, or holds integers, is copied.
+    """
+    arr = np.ascontiguousarray(arr, dtype=np.result_type(arr, 1.0))
+    axis %= arr.ndim
+    n = arr.shape[axis]
+    step = math.prod(arr.shape[axis + 1:])
+    out = np.empty(arr.shape, dtype=arr.dtype)
+    flat, flat_out = arr.reshape(-1), out.reshape(-1)
+
+    def wrapped(i):
+        # one index along the axis, periodic; an axis of length 1 (a
+        # broadcast field) is its own neighbour
+        return (slice(None),) * axis + (slice(i % n, i % n + 1),)
+
+    # (output, a[i+1], a[i], a[i-1])
+    for dst, up, mid, down in (
+            (flat_out[step:-step], flat[2 * step:], flat[step:-step], flat[:-2 * step]),
+            (out[wrapped(0)], arr[wrapped(1)], arr[wrapped(0)], arr[wrapped(-1)]),
+            (out[wrapped(-1)], arr[wrapped(0)], arr[wrapped(-1)], arr[wrapped(-2)])):
+        if order == 1:
+            np.subtract(up, down, out=dst)
+        else:
+            # a + a is 2.0 * a exactly
+            np.add(mid, mid, out=dst)
+            np.subtract(up, dst, out=dst)
+            np.add(dst, down, out=dst)
+    scale = 2.0 * spacing if order == 1 else spacing * spacing
+    if np.iscomplexobj(out):
+        # NumPy divides a complex array by a real scalar as a product with
+        # the reciprocal; the product on the real view gives the same
+        # numbers (an exact zero may change sign) without the complex
+        # division loop
+        real = out.view(out.real.dtype)
+        real *= 1.0 / scale
+    else:
+        out /= scale
+    return out
+
+
 def derivative1(arr, axis, spacing, scheme):
     """First derivative along one axis, periodic boundaries."""
     _check_scheme(scheme)
     if scheme == "stencil":
-        return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * spacing)
+        return _stencil_derivative(arr, axis, spacing, 1)
     return _spectral_derivative(arr, axis, spacing, 1)
 
 
@@ -112,7 +161,7 @@ def derivative2(arr, axis, spacing, scheme):
     """Second derivative along one axis, periodic boundaries."""
     _check_scheme(scheme)
     if scheme == "stencil":
-        return (np.roll(arr, -1, axis=axis) - 2.0 * arr + np.roll(arr, 1, axis=axis)) / (spacing * spacing)
+        return _stencil_derivative(arr, axis, spacing, 2)
     return _spectral_derivative(arr, axis, spacing, 2)
 
 
@@ -180,8 +229,9 @@ class KineticOperator(LinearOperator):
         h = self.basis.grid.spacing
         out = np.zeros_like(amplitudes, dtype=np.complex128)
         for axis in range(self.basis.n_axes):
-            m = self.basis.axis_mass(axis)
-            out += derivative2(amplitudes, axis, h, self.scheme) / (-2.0 * m)
+            d = derivative2(amplitudes, axis, h, self.scheme)
+            d /= -2.0 * self.basis.axis_mass(axis)
+            out += d
         return out
 
 
@@ -202,7 +252,8 @@ class MomentumOperator(LinearOperator):
         for p in range(len(self.basis.particles)):
             axis = self.basis.particle_axis(p, self.dim)
             out += derivative1(amplitudes, axis, h, self.scheme)
-        return -1j * out
+        out *= -1j
+        return out
 
 
 class AngularMomentumZOperator(LinearOperator):
@@ -223,9 +274,14 @@ class AngularMomentumZOperator(LinearOperator):
             ax_y = self.basis.particle_axis(p, 1)
             x = self.basis.axis_coordinate(ax_x)
             y = self.basis.axis_coordinate(ax_y)
-            out += x * derivative1(amplitudes, ax_y, h, self.scheme)
-            out -= y * derivative1(amplitudes, ax_x, h, self.scheme)
-        return -1j * out
+            d = derivative1(amplitudes, ax_y, h, self.scheme)
+            d *= x
+            out += d
+            d = derivative1(amplitudes, ax_x, h, self.scheme)
+            d *= y
+            out -= d
+        out *= -1j
+        return out
 
 
 class SumOperator(LinearOperator):
@@ -428,20 +484,3 @@ def hamiltonian_operator(basis: GridBasis, pairs, scheme="spectral",
     for geometry in fields:
         v = v + geometry.values
     return SumOperator(kin, DiagonalOperator(v))
-
-
-def commutator_residual(q_op: LinearOperator, v_values: np.ndarray, state: HilbertState) -> float:
-    """|| Q(v psi) - v(Q psi) || / || psi ||.
-
-    Vanishing residual is what transfers conservation of Q from the
-    Hamiltonian flow to the stochastic shifts; on a grid it measures
-    pure discretization error when the continuum commutator is zero.
-    """
-    amp = state.amplitudes
-    diff = q_op.apply(v_values * amp) - v_values * q_op.apply(amp)
-    w = state.basis.weight
-    num = np.sqrt(np.vdot(diff, diff).real * w)
-    den = np.sqrt(np.vdot(amp, amp).real * w)
-    if den == 0.0:
-        raise ValueError("commutator residual of a zero state is undefined")
-    return float(num / den)

@@ -174,6 +174,22 @@ def test_value_range_paths():
           "levels": {"energy_denominator": -2.0}}, "levels.energy_denominator"),
         # every scenario runs on its own backend only
         ({"scenario": "grid_scattering", "backend": "finite"}, "backend"),
+        # a packet centred off its box has no density on the grid
+        ({"scenario": "free_packet", "initial": {"centers": [1e9]}},
+         "initial.centers"),
+        ({"scenario": "grid_scattering", "initial": {"centers": [-0.8, 8.0]}},
+         "initial.centers"),
+        ({"scenario": "conservation_suite", "initial": {"centers": [-1e9, 0.8]}},
+         "initial.centers"),
+        ({"scenario": "conservation_suite", "angular": {"separation": 1e9}},
+         "angular.separation"),
+        ({"scenario": "conservation_suite", "angular": {"impact_offset": 1e9}},
+         "angular.impact_offset"),
+        ({"scenario": "conservation_suite", "angular": {"impact_offset": -4.5}},
+         "angular.impact_offset"),
+        ({"scenario": "conservation_suite",
+          "angular": {"spectral": {"separation": 1e9}}},
+         "angular.spectral.separation"),
     ]
     for data, path in cases:
         with pytest.raises(ConfigError) as err:

@@ -1,12 +1,16 @@
 """Grid kernels against test-local references.
 
-The spectral derivatives are compared with an FFT derivative written
-here. ``_reference_rate_numerator`` and ``_reference_energy_deviation_terms``
-evaluate the rate and the energy budget as sums over integrand fields,
-with every derivative taken by the reference derivative, so the
-library's inner-product reductions and its matrix derivatives are both
-checked. The kernels reorder sums, so agreement is to a tolerance
-a few hundred roundings wide, not bitwise.
+The stencil derivatives must equal the ``np.roll`` differences written
+here (``np.array_equal``: only an exact zero may differ in sign), and
+the grid operators a sum accumulated into zeros from the library's
+derivatives. The spectral derivatives are compared with an FFT
+derivative written here. ``_reference_rate_numerator`` and
+``_reference_energy_deviation_terms`` evaluate the rate and the energy
+budget as sums over integrand fields, with every derivative taken by
+the reference derivative, so the library's inner-product reductions and
+its matrix derivatives are both checked. The reductions reorder sums,
+so that agreement is to a tolerance a few hundred roundings wide, not
+bitwise.
 """
 
 import numpy as np
@@ -20,8 +24,11 @@ from collapsim.collapse import (
 )
 from collapsim.diagnostics import energy_deviation_terms
 from collapsim.operators import (
+    AngularMomentumZOperator,
     GaussianWell,
     InteractionPair,
+    KineticOperator,
+    MomentumOperator,
     PairGeometry,
     SoftCoulomb,
     derivative1,
@@ -67,12 +74,79 @@ def _three_in_a_line():
 SYSTEMS = {"planar_pair": _planar_pair, "three_in_a_line": _three_in_a_line}
 
 
+def _basis(name):
+    if name == "line":
+        return GridBasis(GridSpec(1, 256, 16.0), (ParticleSpec(1.3),))
+    return SYSTEMS[name]()[0]
+
+
+def _white_noise(basis, seed):
+    rng = np.random.default_rng(seed)
+    real = rng.standard_normal(basis.shape)
+    return real, real + 1j * rng.standard_normal(basis.shape)
+
+
+@pytest.mark.parametrize("name", ["line"] + sorted(SYSTEMS))
+def test_stencil_derivatives_equal_the_roll_differences(name):
+    basis = _basis(name)
+    # at 2h = 1.125 (h = 0.5625), x / 2h and x * (1 / 2h) differ for real x
+    spacings = (basis.grid.spacing, 0.5625, 0.1, 1.0 / 3.0)
+    real, cplx = _white_noise(basis, 4)
+    assert not np.array_equal(real / 1.125, real * (1.0 / 1.125))
+    # a transposed view is not contiguous along any axis it shares; an
+    # axis of length 1 is a broadcast field's, its own neighbour
+    inputs = (real, cplx, real[:1], cplx[..., :1], np.rint(100.0 * real).astype(int))
+    if basis.n_axes > 1:
+        inputs += (cplx.T,)
+    for arr in inputs:
+        for axis in range(basis.n_axes):
+            for h in spacings:
+                for order, kernel in ((1, derivative1), (2, derivative2)):
+                    got = kernel(arr, axis, h, "stencil")
+                    ref = _reference_derivative(arr, axis, h, "stencil", order)
+                    assert got.dtype == ref.dtype
+                    assert np.array_equal(got, ref), (axis, h, order)
+
+
+def _reference_apply(op, amp):
+    """The operator as a sum accumulated into zeros, one term at a time."""
+    basis, scheme = op.basis, op.scheme
+    h = basis.grid.spacing
+    out = np.zeros_like(amp, dtype=np.complex128)
+    if isinstance(op, KineticOperator):
+        for axis in range(basis.n_axes):
+            out += derivative2(amp, axis, h, scheme) / (-2.0 * basis.axis_mass(axis))
+        return out
+    for p in range(len(basis.particles)):
+        if isinstance(op, MomentumOperator):
+            out += derivative1(amp, basis.particle_axis(p, op.dim), h, scheme)
+        else:
+            ax_x, ax_y = basis.particle_axis(p, 0), basis.particle_axis(p, 1)
+            out += basis.axis_coordinate(ax_x) * derivative1(amp, ax_y, h, scheme)
+            out -= basis.axis_coordinate(ax_y) * derivative1(amp, ax_x, h, scheme)
+    return -1j * out
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "stencil"])
+@pytest.mark.parametrize("name", ["line"] + sorted(SYSTEMS))
+def test_operator_sums_equal_the_accumulated_terms(name, scheme):
+    basis = _basis(name)
+    ops = [KineticOperator(basis, scheme)]
+    ops += [MomentumOperator(basis, dim, scheme) for dim in range(basis.grid.dims)]
+    if basis.grid.dims >= 2:
+        ops.append(AngularMomentumZOperator(basis, scheme))
+    for amp in _white_noise(basis, 5):
+        before = amp.copy()
+        for op in ops:
+            got = op.apply(amp)
+            assert got.dtype == np.complex128
+            assert np.array_equal(got, _reference_apply(op, amp)), type(op).__name__
+            assert np.array_equal(amp, before), type(op).__name__
+
+
 @pytest.mark.parametrize("name", ["line"] + sorted(SYSTEMS))
 def test_spectral_derivatives_match_the_fft(name):
-    if name == "line":
-        basis = GridBasis(GridSpec(1, 256, 16.0), (ParticleSpec(1.3),))
-    else:
-        basis = SYSTEMS[name]()[0]
+    basis = _basis(name)
     h = basis.grid.spacing
     # white noise fills every mode, so max|reference| carries the
     # operator's scale k_max^order; on a smooth input the rounding of
