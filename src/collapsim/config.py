@@ -40,7 +40,7 @@ __all__ = [
 # 2: NaN (an empty branch's conditional expectation) is written as null
 # 3: spectral derivatives are dense matrix products; grid numbers move
 #    at rounding level
-ARTIFACT_VERSION = 3
+ARTIFACT_VERSION = 4
 
 SCENARIOS = (
     "free_packet",

@@ -13,6 +13,12 @@ Grid derivative operators come in two discretizations:
   at the grid sizes used here one product is cheaper than the
   forward/inverse transform pair.
 
+One cached builder, ``_symbol_matrix``, makes the real-space matrix of
+any per-axis Fourier symbol, and one helper, ``_apply_along_axis``,
+applies such a matrix along an axis. They serve both the spectral
+derivatives and the free propagator exp(-i dt k^2 / 2m) of one axis,
+which the split-step stepper applies axis by axis.
+
 Pair potentials are functions of the minimum-image separation of two
 particles, with analytic gradients and Laplacians (no finite
 differencing of potential fields anywhere).
@@ -72,31 +78,53 @@ def _wavenumbers(n, spacing):
     return 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
 
 
-@lru_cache(maxsize=16)
-def _spectral_matrix(n, spacing, order):
-    """Read-only n x n matrix of the spectral derivative of ``order``.
+def _derivative_symbol(k, order):
+    return 1j * k if order == 1 else -(k ** 2)
 
-    Column j is the FFT derivative of the unit vector e_j, so the matrix
-    applies the same operator as the transform pair. A run touches a few
-    (n, spacing, order) keys; the bound only stops a long-lived process
-    that visits many grids from keeping every matrix.
+
+def _free_phase_symbol(k, dt, mass):
+    """exp(-i dt k^2 / 2m): one axis's factor of the free kinetic phase."""
+    return np.exp(-1j * dt * ((k ** 2) / (2.0 * mass)))
+
+
+@lru_cache(maxsize=16)
+def _symbol_matrix(n, spacing, symbol, *params):
+    """Read-only n x n real-space matrix of the Fourier symbol
+    ``symbol(k, *params)`` on an axis of ``n`` points.
+
+    Column j is the transform pair applied to the unit vector e_j, so the
+    matrix applies the same operator as F^-1 diag(symbol) F. A run
+    touches a few keys (derivative orders, one free phase per axis mass);
+    the bound only stops a long-lived process that visits many grids
+    from keeping every matrix.
     """
     k = _wavenumbers(n, spacing)
-    symbol = 1j * k if order == 1 else -(k ** 2)
-    matrix = np.fft.ifft(symbol[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    matrix = np.fft.ifft(symbol(k, *params)[:, None] * np.fft.fft(np.eye(n), axis=0),
+                         axis=0)
     matrix.flags.writeable = False
     return matrix
 
 
-def _spectral_derivative(arr, axis, spacing, order):
+def _apply_along_axis(matrix, arr, axis):
+    """``matrix`` applied to every 1-D line of ``arr`` along ``axis``."""
     shape = arr.shape
     n = shape[axis]
     axis %= arr.ndim
-    matrix = _spectral_matrix(n, float(spacing), order)
     if axis == arr.ndim - 1:
         return (arr.reshape(-1, n) @ matrix.T).reshape(shape)
     # (pre, n, post): the matrix multiplies every post-column block
     return (matrix @ arr.reshape(-1, n, math.prod(shape[axis + 1:]))).reshape(shape)
+
+
+def _spectral_derivative(arr, axis, spacing, order):
+    matrix = _symbol_matrix(arr.shape[axis], float(spacing), _derivative_symbol, order)
+    return _apply_along_axis(matrix, arr, axis)
+
+
+def _free_propagator(n, spacing, dt, mass):
+    """Read-only unitary matrix of the free kinetic phase on one axis of
+    ``n`` points, cached by (n, spacing, dt, mass)."""
+    return _symbol_matrix(n, float(spacing), _free_phase_symbol, float(dt), float(mass))
 
 
 def _stencil_derivative(arr, axis, spacing, order):

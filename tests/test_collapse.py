@@ -10,6 +10,7 @@ relaxation.
 import numpy as np
 import pytest
 
+from collapsim import collapse as collapse_module
 from collapsim.collapse import (
     CollapseOperator,
     DegenerateProjectionError,
@@ -321,6 +322,34 @@ def test_collapse_sum_three_particles():
     dens = psi.density()
     mean = (dens * diag).sum() / dens.sum()
     assert abs(mean) < 1e-12 * max(1e-300, np.max(np.abs(diag)))
+
+
+def test_one_mean_potential_per_pair(monkeypatch):
+    # the centring, the rate numerator's overlap check and a repulsive
+    # pair's interacting component share one <V>
+    calls = []
+    original = collapse_module._mean_potential
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(collapse_module, "_mean_potential", counting)
+    basis = GridBasis(GridSpec(1, 32, 8.0),
+                      (ParticleSpec(1.0), ParticleSpec(1.5), ParticleSpec(0.8)))
+    pairs = [InteractionPair(0, 1, GaussianWell(-2.0, 1.0)),
+             InteractionPair(1, 2, SoftCoulomb(1.0, 0.5))]
+    psi = normalize(gaussian_packet(basis, [-1.0, 0.2, 1.1], [0.9, 0.8, 1.0],
+                                    [0.5, -0.2, -0.4]))
+    for pair in pairs:
+        for geometry in (None, PairGeometry(basis, pair)):
+            calls.clear()
+            op = build_collapse_operator(psi, pair, scheme="stencil", geometry=geometry)
+            assert op.gamma > 0.0
+            assert len(calls) == 1
+    calls.clear()
+    collapse_sum(psi, pairs)
+    assert len(calls) == len(pairs)
 
 
 def test_collapse_operator_validation():

@@ -11,6 +11,7 @@ import pytest
 
 from collapsim import collapse as collapse_module
 from collapsim import integrator as integrator_module
+from collapsim import operators as operators_module
 from collapsim.collapse import collapse_from_diagonal, collapse_sum, total_diagonal
 from collapsim.integrator import (
     IntegratorConfig,
@@ -266,15 +267,16 @@ def test_kappa_zero_is_bit_identical_to_reference_grid():
 
 def test_zero_gain_grid_run_skips_the_rate(monkeypatch):
     # at kappa = 0 the rate scales nothing, so no step computes it;
-    # otherwise each step taken computes it once
+    # otherwise each step taken computes it once (the operator builder
+    # reaches the numerator through the private form that takes <V>)
     calls = []
-    original = collapse_module.rate_numerator
+    original = collapse_module._rate_numerator
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(collapse_module, "rate_numerator", counting)
+    monkeypatch.setattr(collapse_module, "_rate_numerator", counting)
     basis, pair, state = _pair_system()
     for kappa in (0.0, 1.0):
         calls.clear()
@@ -587,6 +589,39 @@ def test_grid_trajectory_records_observables():
     assert np.isfinite(rec.expectations["momentum_out"][0])
     assert rec.weight_in[0] > 0.05
     assert rec.max_norm_drift < 0.2
+
+
+@pytest.mark.parametrize("scheme", ["split_step_spectral", "crank_nicolson_stencil"])
+@pytest.mark.parametrize("with_pair", [False, True])
+def test_energy_reuses_the_recorded_kinetic_field(monkeypatch, with_pair, scheme):
+    # the energy series is the one recorded alone, whatever the order of
+    # the names, and each record takes one second derivative per axis
+    calls = []
+    original = operators_module.derivative2
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(operators_module, "derivative2", counting)
+    basis, pair, state = _pair_system(momenta=(0.6, -0.4))
+    pairs = (pair,) if with_pair else ()
+    records = {}
+    for names in (("energy",), ("kinetic", "energy"), ("energy", "kinetic")):
+        calls.clear()
+        cfg = IntegratorConfig(dt=0.002, n_steps=12, scheme=scheme, record_every=4,
+                               stop_on_absorb=False, record_observables=names)
+        rec = run_trajectory(state, cfg, pairs=pairs, seed=8)
+        n_records = rec.times.size
+        assert len(calls) == n_records * basis.n_axes
+        records[names] = rec
+    alone = records[("energy",)].expectations
+    for names in (("kinetic", "energy"), ("energy", "kinetic")):
+        both = records[names].expectations
+        for key in ("energy", "energy_in", "energy_out"):
+            assert np.array_equal(both[key], alone[key], equal_nan=True), (names, key)
+    assert np.array_equal(records[("kinetic", "energy")].expectations["kinetic"],
+                          records[("energy", "kinetic")].expectations["kinetic"])
 
 
 def test_unknown_observable_rejected():

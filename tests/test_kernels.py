@@ -11,6 +11,12 @@ the reference derivative, so the library's inner-product reductions and
 its matrix derivatives are both checked. The reductions reorder sums,
 so that agreement is to a tolerance a few hundred roundings wide, not
 bitwise.
+
+The unitary step is compared with the ``fftn`` form of the same step
+written here: the spectral split step, which applies one matrix per
+axis, to a tolerance; the Crank-Nicolson step, which keeps its
+transforms, bit for bit. A collapse operator equals the one assembled
+from the public rate functions, each of which takes its own <V>.
 """
 
 import numpy as np
@@ -20,9 +26,12 @@ from collapsim.collapse import (
     collapse_from_diagonal,
     collapse_sum,
     interacting_component,
+    rate_denominator,
     rate_numerator,
 )
 from collapsim.diagnostics import energy_deviation_terms
+from collapsim.integrator import SCHEMES as STEP_SCHEMES
+from collapsim.integrator import UnitaryStepper
 from collapsim.operators import (
     AngularMomentumZOperator,
     GaussianWell,
@@ -33,11 +42,14 @@ from collapsim.operators import (
     SoftCoulomb,
     derivative1,
     derivative2,
+    kinetic_symbol,
 )
 from collapsim.state import GridBasis, GridSpec, ParticleSpec, gaussian_packet, normalize
 
 DERIVATIVE_RTOL = 1e-13
 REDUCTION_RTOL = 1e-12
+STEP_ATOL = 1e-13
+UNITARY_ATOL = 1e-14
 
 
 def _reference_derivative(arr, axis, spacing, scheme, order=1):
@@ -253,3 +265,102 @@ def test_energy_deviation_terms_match_the_field_sum(name, scheme):
         assert _close(terms.laplacian_term, laplacian)
         assert _close(terms.positive_definite_term, positive)
         assert terms.positive_definite_term > 0.0
+
+
+# the unitary step against its fftn form
+
+def _grid_scattering_default():
+    # 64^2 configuration grid, the grid_scattering default
+    basis = GridBasis(GridSpec(1, 64, 8.0), (ParticleSpec(1.0), ParticleSpec(1.5)))
+    return basis, 0.003, [InteractionPair(0, 1, GaussianWell(-2.0, 1.0))]
+
+
+def _planar_stepping():
+    # 16^4, the benchmark's grid2d config
+    basis, _, pairs = _planar_pair()
+    return basis, 0.008, pairs
+
+
+# every shipped stepping shape, (basis, configured dt, pairs)
+STEPPING = {
+    "free_packet": lambda: (_basis("line"), 0.002, []),
+    "grid_scattering": _grid_scattering_default,
+    "planar_pair": _planar_stepping,
+}
+
+
+def _reference_step(basis, dt, pairs, amp, scheme):
+    """One unitary sub-step with the kinetic factor between fftn and ifftn."""
+    symbol = kinetic_symbol(basis, STEP_SCHEMES[scheme])
+    if scheme == "split_step_spectral":
+        phase = np.exp(-1j * dt * symbol)
+    else:
+        half = 0.5j * dt * symbol
+        phase = (1.0 - half) / (1.0 + half)
+    if not pairs:
+        return np.fft.ifftn(phase * np.fft.fftn(amp))
+    v_total = np.zeros(basis.shape)
+    for pair in pairs:
+        v_total = v_total + PairGeometry(basis, pair).values
+    half_potential = np.exp(-0.5j * dt * v_total)
+    amp = np.fft.ifftn(phase * np.fft.fftn(half_potential * amp))
+    return half_potential * amp
+
+
+@pytest.mark.parametrize("with_pairs", [False, True])
+@pytest.mark.parametrize("name", sorted(STEPPING))
+def test_split_step_matches_the_fftn_form(name, with_pairs, monkeypatch):
+    basis, dt, pairs = STEPPING[name]()
+    pairs = pairs if with_pairs else []
+    stepper = UnitaryStepper(basis, dt, pairs=tuple(pairs))
+    # the stepper holds one n x n matrix per axis and no full-shape array
+    assert stepper._kinetic_phase is None
+    assert len(stepper._axis_propagators) == basis.n_axes
+    n = basis.grid.points_per_axis
+    for matrix in stepper._axis_propagators:
+        assert matrix.shape == (n, n)
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+        assert np.max(np.abs(matrix @ matrix.conj().T - np.eye(n))) <= UNITARY_ATOL
+    amps = _white_noise(basis, 6)
+    refs = [_reference_step(basis, dt, pairs, amp, "split_step_spectral") for amp in amps]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the split step calls an n-D transform")
+
+    monkeypatch.setattr(np.fft, "fftn", forbidden)
+    monkeypatch.setattr(np.fft, "ifftn", forbidden)
+    for amp, ref in zip(amps, refs):
+        got = stepper.step(amp)
+        assert got.shape == amp.shape
+        assert np.max(np.abs(got - ref)) <= STEP_ATOL
+
+
+@pytest.mark.parametrize("with_pairs", [False, True])
+@pytest.mark.parametrize("name", sorted(STEPPING))
+def test_crank_nicolson_step_equals_the_fftn_cayley_form(name, with_pairs):
+    basis, dt, pairs = STEPPING[name]()
+    pairs = pairs if with_pairs else []
+    stepper = UnitaryStepper(basis, dt, scheme="crank_nicolson_stencil", pairs=tuple(pairs))
+    for amp in _white_noise(basis, 7):
+        ref = _reference_step(basis, dt, pairs, amp, "crank_nicolson_stencil")
+        assert np.array_equal(stepper.step(amp), ref)
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "stencil"])
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_collapse_operator_equals_the_public_rate_form(name, scheme):
+    _, state, pairs = SYSTEMS[name]()
+    basis = state.basis
+    kappa, c = 1.3, 2.0
+    ops = collapse_sum(state, pairs, kappa=kappa, c=c, scheme=scheme)
+    for pair, op in zip(pairs, ops, strict=True):
+        v = PairGeometry(basis, pair).values
+        dens = state.density()
+        mean = float((dens * v).sum() * basis.weight / (dens.sum() * basis.weight))
+        gamma = rate_numerator(state, pair, scheme) / rate_denominator(state, pair, scheme)
+        e_den = (basis.particles[pair.j].mass + basis.particles[pair.k].mass) * c * c
+        scaled = (kappa * np.sqrt(gamma) / e_den) * (v - mean)
+        assert op.gamma == gamma
+        assert np.array_equal(op.scaled_values, scaled)
