@@ -138,11 +138,13 @@ def _run_grid_trajectories(cfg: RunConfig):
 
     finals = {name: [] for name in icfg.record_observables}
     first = None
+    drift = 0.0
     for index in range(cfg.n_traj):
         rec = run_trajectory(state, icfg, pairs=pairs, seed=cfg.master_seed + index,
                              per_step=watch if index == 0 else None)
         if first is None:
             first = rec
+        drift = max(drift, rec.max_norm_drift)
         for name in finals:
             finals[name].append(float(rec.expectations[name][-1]))
 
@@ -150,7 +152,7 @@ def _run_grid_trajectories(cfg: RunConfig):
         "n_trajectories": cfg.n_traj,
         "times": _series(first.times),
         "expectations": {k: _series(v) for k, v in first.expectations.items()},
-        "max_norm_drift": first.max_norm_drift,
+        "max_norm_drift": drift,
         "final_means": {k: float(np.mean(v)) for k, v in finals.items()},
         "final_spreads": {k: float(np.std(v)) for k, v in finals.items()},
         "energy_deviation": {"rms": budget.rms, "heating": budget.heating,

@@ -274,11 +274,6 @@ class CollapseOperator(LinearOperator):
         self.pair = pair
         self.geometry = geometry
         self.scaled_values = (self.kappa * math.sqrt(self.gamma) / self.energy_denominator) * self.centered
-        self.hermitian = True
-
-    @property
-    def diagonal_values(self):
-        return self.scaled_values
 
     def apply(self, amplitudes):
         return self.scaled_values * amplitudes

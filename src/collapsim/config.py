@@ -40,7 +40,10 @@ __all__ = [
 # 2: NaN (an empty branch's conditional expectation) is written as null
 # 3: spectral derivatives are dense matrix products; grid numbers move
 #    at rounding level
-ARTIFACT_VERSION = 4
+# 4: the spectral split step applies per-axis propagator matrices; grid
+#    numbers move at rounding level
+# 5: a grid run's max_norm_drift covers every trajectory, not the first
+ARTIFACT_VERSION = 5
 
 SCENARIOS = (
     "free_packet",

@@ -114,18 +114,6 @@ class EraserResult:
     cross_term_probability: float
     cross_sem: float
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "mode": self.mode,
-            "n_traj": self.n_traj,
-            "seed": self.seed,
-            "correlation_matrix": [[float(v) for v in row]
-                                   for row in self.correlation_matrix],
-            "cross_term_probability": self.cross_term_probability,
-            "cross_sem": self.cross_sem,
-        }
-
 
 def kick_cross_probability(epsilon: float) -> float:
     """Exact cross probability of a +-epsilon kick on equal branches."""

@@ -196,9 +196,6 @@ def derivative2(arr, axis, spacing, scheme):
 class LinearOperator:
     """Base class: knows how to apply itself to an amplitude array."""
 
-    hermitian = True
-    diagonal_values = None
-
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -212,13 +209,7 @@ class DiagonalOperator(LinearOperator):
     """Pointwise multiplication by a (broadcastable) value field."""
 
     def __init__(self, values):
-        values = np.asarray(values)
-        self.values = values
-        self.hermitian = bool(np.isrealobj(values))
-
-    @property
-    def diagonal_values(self):
-        return self.values
+        self.values = np.asarray(values)
 
     def apply(self, amplitudes):
         return self.values * amplitudes
@@ -232,14 +223,6 @@ class MatrixOperator(LinearOperator):
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square, got shape %s" % (matrix.shape,))
         self.matrix = matrix
-        self.hermitian = bool(np.allclose(matrix, matrix.conj().T, atol=1e-13))
-
-    @property
-    def diagonal_values(self):
-        off = self.matrix - np.diag(np.diag(self.matrix))
-        if np.any(off != 0):
-            return None
-        return np.diag(self.matrix).real if self.hermitian else np.diag(self.matrix)
 
     def apply(self, amplitudes):
         return self.matrix @ amplitudes
@@ -315,7 +298,6 @@ class AngularMomentumZOperator(LinearOperator):
 class SumOperator(LinearOperator):
     def __init__(self, *ops):
         self.ops = ops
-        self.hermitian = all(op.hermitian for op in ops)
 
     def apply(self, amplitudes):
         out = self.ops[0].apply(amplitudes)
@@ -467,13 +449,6 @@ class PairGeometry:
         return _frozen(2.0 * d * potential.dvalue_u(u) + 4.0 * u * potential.d2value_u(u))
 
 
-def _geometries(basis: GridBasis, pairs, geometries):
-    """The caller's geometries, or throwaway ones built one at a time."""
-    if geometries is not None:
-        return geometries
-    return (PairGeometry(basis, pair) for pair in pairs)
-
-
 def kinetic_symbol(basis: GridBasis, scheme="spectral") -> np.ndarray:
     """Fourier-space eigenvalues of the kinetic operator, full shape.
 
@@ -497,6 +472,19 @@ def kinetic_symbol(basis: GridBasis, scheme="spectral") -> np.ndarray:
     return total
 
 
+def _pair_potential(basis: GridBasis, pairs, geometries=None) -> np.ndarray:
+    """Summed values of one or more pair potentials, broadcastable over
+    the basis, from the caller's geometries or from throwaway ones built
+    one at a time."""
+    if geometries is None:
+        geometries = (PairGeometry(basis, pair) for pair in pairs)
+    fields = iter(geometries)
+    v = next(fields).values
+    for geometry in fields:
+        v = v + geometry.values
+    return v
+
+
 def hamiltonian_operator(basis: GridBasis, pairs, scheme="spectral",
                          geometries=None) -> LinearOperator:
     """Kinetic term plus the summed pair-potential diagonal.
@@ -507,8 +495,4 @@ def hamiltonian_operator(basis: GridBasis, pairs, scheme="spectral",
     kin = KineticOperator(basis, scheme)
     if not pairs:
         return kin
-    fields = iter(_geometries(basis, pairs, geometries))
-    v = next(fields).values
-    for geometry in fields:
-        v = v + geometry.values
-    return SumOperator(kin, DiagonalOperator(v))
+    return SumOperator(kin, DiagonalOperator(_pair_potential(basis, pairs, geometries)))

@@ -11,11 +11,21 @@ Two state backends are supported:
 States are treated as immutable values: evolution and projection
 functions return new ``HilbertState`` instances and never write into an
 existing amplitude array.
+
+``branch_split`` is the one split of a state into the branch that takes
+part in an interaction and the branch that does not. Given a real
+diagonal field V, it centres V on the state (V - <V>) and puts the
+points where the centred field is strictly positive into the in-branch;
+everything else, exact zeros included, is out. It returns the in-mask,
+the in-branch weight and the centred field. The stepping loop splits
+each new state by the centred collapse fields of the step that produced
+it; recentring a centred field on the same state leaves the masks as
+they are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,12 +35,11 @@ __all__ = [
     "GridBasis",
     "FiniteBasis",
     "HilbertState",
-    "BranchDecomposition",
     "norm",
     "normalize",
     "expectation",
     "masked_density_sum",
-    "branch_decompose",
+    "branch_split",
     "gaussian_packet",
     "finite_state",
 ]
@@ -57,8 +66,7 @@ class GridSpec:
     dims : int
         Spatial dimensions per particle (1, 2 or 3).
     points_per_axis : int
-        Grid points along each axis. Power of two, at least 8, so the
-        spectral kinetic sub-step stays an exact FFT diagonalization.
+        Grid points along each axis: a power of two, at least 8.
     extent : float
         Half-width of the box; coordinates run over [-extent, extent).
     """
@@ -165,9 +173,6 @@ class FiniteBasis:
     def weight(self) -> float:
         return 1.0
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 @dataclass(frozen=True)
 class HilbertState:
@@ -234,54 +239,13 @@ def masked_density_sum(state: HilbertState, mask: np.ndarray) -> float:
     return float(part / total)
 
 
-@dataclass(frozen=True)
-class BranchDecomposition:
-    """Split of a state by the sign of a norm-centered diagonal.
+def branch_split(state: HilbertState, values):
+    """``(in_mask, weight_in, centered)`` of ``state`` split by the sign
+    of ``values - <values>`` (see the module docstring).
 
-    ``in_mask`` marks basis points where the centered diagonal is
-    strictly positive (the interaction-dominated branch); everything
-    else, including exact zeros, belongs to ``out_mask``. Weights are
-    the normalized densities over the two regions and sum to 1.
+    ``values`` is a real diagonal field broadcastable against the
+    amplitudes; the out-branch weight is ``1 - weight_in``.
     """
-
-    in_mask: np.ndarray
-    out_mask: np.ndarray
-    weight_in: float
-    weight_out: float
-    centered: np.ndarray = field(repr=False)
-
-
-def _diagonal_of(v_op) -> np.ndarray:
-    if isinstance(v_op, np.ndarray):
-        return v_op
-    diag = getattr(v_op, "diagonal_values", None)
-    if diag is None:
-        raise ValueError("branch decomposition requires a diagonal operator")
-    return diag
-
-
-def branch_decompose(state: HilbertState, v_op) -> BranchDecomposition:
-    """Decompose by the sign of ``v - <v>`` over the current state.
-
-    ``v_op`` may be a diagonal operator or a raw array of diagonal
-    values broadcastable against the amplitudes. Re-centering an
-    already centered diagonal leaves the masks unchanged because the
-    state average of the centered values is zero.
-    """
-    in_mask, w_in, centered = _branch_split(state, _diagonal_of(v_op))
-    return BranchDecomposition(
-        in_mask=in_mask,
-        out_mask=~in_mask,
-        weight_in=w_in,
-        weight_out=1.0 - w_in,
-        centered=centered,
-    )
-
-
-def _branch_split(state: HilbertState, values):
-    """(in_mask, weight_in, centered) of ``branch_decompose`` without
-    building the decomposition, for stepping loops that split every
-    step."""
     dens = state.density()
     total = dens.sum() * state.basis.weight
     if total == 0.0:

@@ -11,6 +11,7 @@ from collapsim import cli
 from collapsim.cli import main
 from collapsim.config import parse_config
 from collapsim.diagnostics import attributed_gap, identity_residual
+from collapsim.integrator import run_trajectory
 from collapsim.operators import AngularMomentumZOperator, MomentumOperator
 
 
@@ -71,7 +72,7 @@ def test_free_packet_run_and_artifact_shape(tmp_path):
     assert main(["run", path]) == 0
     body = read_artifact(tmp_path, "free_packet")
     assert body["status"] == "ok"
-    assert body["artifact_version"] == 4
+    assert body["artifact_version"] == 5
     assert body["scenario"] == "free_packet"
     assert len(body["config_hash"]) == 64
     assert len(body["times"]) == 5
@@ -135,6 +136,26 @@ def test_seed_changes_artifact_and_is_recorded(tmp_path):
     first = body["expectations"]["momentum"]
     assert main(["run", path, "--seed", "4"]) == 0
     assert read_artifact(tmp_path, "grid_scattering")["expectations"]["momentum"] != first
+
+
+def test_grid_norm_drift_covers_every_trajectory(tmp_path):
+    # at this gain the trajectories drift by different amounts, and the
+    # first is not the largest
+    path = write_config(tmp_path, "scat.json",
+                        {"scenario": "grid_scattering",
+                         "physics": {"kappa": 50.0},
+                         "numerics": {"n_steps": 40},
+                         "ensemble": {"n_traj": 4},
+                         "output": {"directory": str(tmp_path / "art")}})
+    assert main(["run", path]) == 0
+    body = read_artifact(tmp_path, "grid_scattering")
+    cfg = parse_config(path)
+    basis = cfg.grid_basis()
+    drifts = [run_trajectory(cfg.initial_state(basis), cfg.integrator_config(),
+                             pairs=cfg.pairs(), seed=cfg.master_seed + index).max_norm_drift
+              for index in range(cfg.n_traj)]
+    assert drifts[0] < max(drifts)
+    assert body["max_norm_drift"] == max(drifts)
 
 
 def test_out_dir_and_traj_overrides(tmp_path):

@@ -118,12 +118,6 @@ def test_sweep_input_validation():
         eraser_sweep([0.05, 0.0])
 
 
-def test_result_serializes_to_json():
-    result = eraser_run(EraserConfig(epsilon=0.05, n_traj=10), seed=0)
-    blob = json.dumps(result.to_dict())
-    assert "cross_term_probability" in blob
-
-
 # ---------------------------------------------------------------------------
 # Resolved stochastic mode
 

@@ -191,6 +191,18 @@ def test_matrix_stepper_matches_rabi_rotation():
     np.testing.assert_allclose(amp, expected, atol=1e-12)
 
 
+def test_matrix_stepper_rejects_a_non_hermitian_hamiltonian():
+    # eigh would read one triangle of [[0, 1], [0, 0]] and propagate by the
+    # zero matrix, i.e. return the identity
+    basis = FiniteBasis(("in", "out"))
+    with pytest.raises(ValueError, match="Hermitian"):
+        UnitaryStepper(basis, 0.5, hamiltonian=MatrixOperator([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        run_schrodinger_reference(finite_state(basis, [1.0, 0.0]),
+                                  IntegratorConfig(dt=0.5, n_steps=1),
+                                  hamiltonian=MatrixOperator([[0.0, 1.0j], [1.0j, 0.0]]))
+
+
 def test_matrix_stepper_identity_without_hamiltonian():
     basis = FiniteBasis(("a", "b", "c"))
     stepper = UnitaryStepper(basis, 0.1)

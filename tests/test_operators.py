@@ -166,7 +166,6 @@ def test_hermiticity_of_hermitian_kinds():
         (None, MatrixOperator(mat + mat.conj().T)),
     ]
     for basis, op in ops:
-        assert op.hermitian
         for _ in range(100):
             if basis is None:
                 phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -177,11 +176,6 @@ def test_hermiticity_of_hermitian_kinds():
             lhs = np.vdot(phi, op.apply(psi))
             rhs = np.vdot(op.apply(phi), psi)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
-
-
-def test_matrix_operator_detects_non_hermitian():
-    mat = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert not MatrixOperator(mat).hermitian
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""State container, norms, expectations, branch decomposition."""
+"""State container, norms, expectations, branch split."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,12 @@ import pytest
 from collapsim.operators import (DiagonalOperator, GaussianWell, IdentityOperator, InteractionPair,
                                  PairGeometry)
 from collapsim.state import (
-    BranchDecomposition,
     FiniteBasis,
     GridBasis,
     GridSpec,
     HilbertState,
     ParticleSpec,
-    branch_decompose,
+    branch_split,
     expectation,
     finite_state,
     gaussian_packet,
@@ -140,25 +139,25 @@ def test_expectation_zero_state_raises():
 
 
 # ---------------------------------------------------------------------------
-# branch decomposition
+# branch split
 
 
 def test_two_level_branch_weights():
     psi = finite_state(two_level(), [np.sqrt(0.3), np.sqrt(0.7)])
-    dec = branch_decompose(psi, DiagonalOperator(np.array([1.0, 0.0])))
-    assert dec.in_mask.tolist() == [True, False]
-    assert abs(dec.weight_in - 0.3) < 1e-12
-    assert abs(dec.weight_out - 0.7) < 1e-12
+    in_mask, weight_in, centered = branch_split(psi, np.array([1.0, 0.0]))
+    assert in_mask.tolist() == [True, False]
+    assert abs(weight_in - 0.3) < 1e-12
+    assert abs(masked_density_sum(psi, ~in_mask) - 0.7) < 1e-12
     # centered values: v - <v> with <v> = 0.3
-    assert np.allclose(dec.centered, [0.7, -0.3], atol=1e-12)
+    assert np.allclose(centered, [0.7, -0.3], atol=1e-12)
 
 
 def test_zero_potential_gives_empty_in_branch():
     psi = finite_state(two_level(), [np.sqrt(0.3), np.sqrt(0.7)])
-    dec = branch_decompose(psi, DiagonalOperator(np.zeros(2)))
-    assert not dec.in_mask.any()
-    assert dec.weight_in == 0.0
-    assert dec.weight_out == 1.0
+    in_mask, weight_in, _ = branch_split(psi, np.zeros(2))
+    assert not in_mask.any()
+    assert weight_in == 0.0
+    assert masked_density_sum(psi, ~in_mask) == 1.0
 
 
 def test_grid_branch_weights_match_mask_quadrature():
@@ -167,7 +166,7 @@ def test_grid_branch_weights_match_mask_quadrature():
     pair = InteractionPair(0, 1, GaussianWell(2.0, 0.8))
     psi = normalize(gaussian_packet(basis, [-1.0, 1.0], [1.0, 1.0]))
     v = PairGeometry(basis, pair).values
-    dec = branch_decompose(psi, DiagonalOperator(v))
+    in_mask, weight_in, _ = branch_split(psi, v)
 
     # independent quadrature of the same masks
     dens = np.abs(psi.amplitudes) ** 2
@@ -175,37 +174,26 @@ def test_grid_branch_weights_match_mask_quadrature():
     mean = (dens * v).sum() * w / ((dens).sum() * w)
     mask = (v - mean) > 0
     w_in = float((dens * mask).sum() * w)
-    assert abs(dec.weight_in + dec.weight_out - 1.0) < 1e-12
-    assert abs(dec.weight_in - w_in) < 1e-12
-    assert masked_density_sum(psi, dec.in_mask) == pytest.approx(dec.weight_in, abs=1e-12)
+    assert abs(weight_in + masked_density_sum(psi, ~in_mask) - 1.0) < 1e-12
+    assert abs(weight_in - w_in) < 1e-12
+    assert masked_density_sum(psi, in_mask) == pytest.approx(weight_in, abs=1e-12)
 
 
-def test_branch_decompose_idempotent_under_recentering():
+def test_branch_split_idempotent_under_recentering():
     psi = finite_state(FiniteBasis(("a", "b", "c")), [0.6, 0.0, 0.8])
     values = np.array([2.0, -1.0, 0.5])
-    first = branch_decompose(psi, DiagonalOperator(values))
-    second = branch_decompose(psi, first.centered)
-    assert np.array_equal(first.in_mask, second.in_mask)
-    assert abs(first.weight_in - second.weight_in) < 1e-14
-
-
-def test_branch_decompose_requires_diagonal():
-    psi = finite_state(two_level(), [1.0, 0.0])
-
-    class NotDiagonal:
-        def apply(self, amp):
-            return amp
-
-    with pytest.raises(ValueError):
-        branch_decompose(psi, NotDiagonal())
+    first_mask, first_weight, centered = branch_split(psi, values)
+    second_mask, second_weight, _ = branch_split(psi, centered)
+    assert np.array_equal(first_mask, second_mask)
+    assert abs(first_weight - second_weight) < 1e-14
 
 
 def test_boundary_points_go_to_out_branch():
     # centered value exactly 0 at one point: strict inequality sends it to O
     psi = finite_state(FiniteBasis(("a", "b", "c", "d")), [0.5, 0.5, 0.5, 0.5])
     values = np.array([1.0, 1.0, 0.0, 2.0])
-    dec = branch_decompose(psi, DiagonalOperator(values))
-    assert not dec.in_mask[2]
+    in_mask, _, _ = branch_split(psi, values)
+    assert not in_mask[2]
 
 
 def test_gaussian_packet_argument_validation():
