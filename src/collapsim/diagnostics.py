@@ -324,15 +324,6 @@ class BenchmarkRatios:
     radiative: float      # (v/c) ratio, with v from dKE = M v^2 / 2
     antiparticle: float   # ratio^2, pair-production suppression scale
 
-    def to_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "first_order": self.first_order,
-            "second_order": self.second_order,
-            "radiative": self.radiative,
-            "antiparticle": self.antiparticle,
-        }
-
 
 def deviation_ratio_benchmark(delta_ke: float, masses, c: float) -> BenchmarkRatios:
     """Reference ratios the measured deviation is judged against.

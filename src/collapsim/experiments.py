@@ -246,11 +246,6 @@ class BoundCheck:
     nonrelativistic: bool     # ratio at or under 1e-3
     below_bound: bool         # probability at or under 1e-6
 
-    def to_dict(self) -> dict:
-        return {"ratio": self.ratio, "probability": self.probability,
-                "nonrelativistic": self.nonrelativistic,
-                "below_bound": self.below_bound}
-
 
 def eraser_bound_check(ratio: float) -> BoundCheck:
     """Probability ceiling for a given interaction-to-rest-energy ratio.

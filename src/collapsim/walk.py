@@ -127,16 +127,41 @@ class WalkEnsembleResult:
         return float(np.sqrt(max(p * (1.0 - p), 1e-12) / self.n_walkers))
 
 
+def _fill_block(rng, mode: str, pool: np.ndarray) -> None:
+    """Overwrite the even-length ``pool`` with the next walk draws.
+
+    A binary sign is the top bit of a 32-bit half of a raw 64-bit word,
+    low half first: the bit ``rng.integers(0, 2)`` returns, so the signs
+    of consecutive blocks equal those of consecutive ``integers`` calls
+    of any sizes. Gaussian blocks concatenate as consecutive
+    ``standard_normal`` calls do.
+    """
+    if mode == "binary":
+        bits = rng.bit_generator.random_raw(pool.size // 2).view(np.uint32)
+        bits >>= 31
+        np.multiply(bits, 2.0, out=pool)
+        pool -= 1.0
+    else:
+        rng.standard_normal(out=pool)
+
+
 def walk_ensemble(x0: float, n_walkers: int, config: WalkConfig,
                   seed: int = 0) -> WalkEnsembleResult:
     """Vectorized ensemble stepping only the walkers still active.
 
-    Each pass draws one number per active walker, handed out to the
-    active walkers in ascending order. ``idx`` and ``xa`` hold those
-    walkers' indices and weights; an absorbed walker's final weight,
-    status and step count (the pass on which it crossed) are written
-    out as it leaves them, and walkers still active after the last
-    pass get theirs at the end.
+    Each pass hands one draw per active walker to the active walkers in
+    ascending order. The draws come as slices of one pooled block of
+    ``max(2**14, n_walkers)`` values (rounded up to an even count),
+    refilled in place as it runs out; the stream is the one per-pass
+    ``integers(0, 2)`` or ``standard_normal`` calls would give, so the
+    draws each walker receives are unchanged.
+
+    ``idx`` and ``xa`` hold the active walkers' indices and weights; an
+    absorbed walker's final weight (clipped to [0, 1]), status and step
+    count (the pass on which it crossed) are written out as it leaves
+    them, and walkers still active after the last pass get theirs at
+    the end. Only a walker that crossed a barrier can stand outside
+    [0, 1], so the clip is needed only on exit.
     """
     theta = config.barrier_value
     if not theta < x0 < 1.0 - theta:
@@ -152,20 +177,29 @@ def walk_ensemble(x0: float, n_walkers: int, config: WalkConfig,
     idx = np.arange(n_walkers)
     xa = np.full(n_walkers, float(x0))
     scale = config.step_scale
+    pool = np.empty(max(2 ** 14, n_walkers + n_walkers % 2))
+    _fill_block(rng, config.mode, pool)
+    used = 0
     passes = 0
     while passes < config.max_steps and idx.size:
         passes += 1
-        if config.mode == "binary":
-            draw = rng.integers(0, 2, idx.size) * 2.0 - 1.0
+        end = used + idx.size
+        if end <= pool.size:
+            draw = pool[used:end]
+            used = end
         else:
-            draw = rng.standard_normal(idx.size)
+            # copy the block's tail out before it is refilled in place
+            draw = np.empty(idx.size)
+            draw[:pool.size - used] = pool[used:]
+            _fill_block(rng, config.mode, pool)
+            used = end - pool.size
+            draw[idx.size - used:] = pool[:used]
         xa += step_increment(xa, scale, draw)
-        np.clip(xa, 0.0, 1.0, out=xa)
         upper = xa >= 1.0 - theta
         crossed = upper | (xa <= theta)
         if crossed.any():
             done = idx[crossed]
-            x[done] = xa[crossed]
+            x[done] = np.clip(xa[crossed], 0.0, 1.0)
             status[done] = np.where(upper[crossed], 1, -1)
             steps[done] = passes
             keep = ~crossed

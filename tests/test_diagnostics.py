@@ -6,6 +6,8 @@ measured once on the frozen scenarios below and are asserted as bands
 around the measured values.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -320,7 +322,7 @@ def test_benchmark_rejects_bad_inputs():
 
 
 def test_benchmark_serializes():
-    d = deviation_ratio_benchmark(1e-4, (0.5, 0.5), 10.0).to_dict()
+    d = dataclasses.asdict(deviation_ratio_benchmark(1e-4, (0.5, 0.5), 10.0))
     assert set(d) == {"ratio", "first_order", "second_order", "radiative",
                       "antiparticle"}
     assert isinstance(d["ratio"], float)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from collapsim import walk
 from collapsim.walk import (
     WalkConfig,
     barrier_bias,
@@ -115,15 +116,25 @@ def _rescan_walk(x0, n_walkers, config, seed):
     return x, status, steps, passes
 
 
-@pytest.mark.parametrize("x0, config", [
-    (0.3, WalkConfig(step_scale=0.1)),
-    (0.6, WalkConfig(step_scale=0.15, mode="gaussian")),
-    (0.45, WalkConfig(step_scale=0.2, max_steps=200)),
-    (0.7, WalkConfig(step_scale=0.2, barrier=0.05)),
-])
-def test_compacted_walk_matches_rescan_reference(x0, config):
-    x, status, steps, passes = _rescan_walk(x0, 3000, config, seed=21)
-    res = walk_ensemble(x0, 3000, config, seed=21)
+@pytest.mark.parametrize("x0, config, n_walkers", [
+    (0.3, WalkConfig(step_scale=0.1), 3000),
+    (0.6, WalkConfig(step_scale=0.15, mode="gaussian"), 3000),
+    (0.45, WalkConfig(step_scale=0.2, max_steps=200), 3000),
+    (0.7, WalkConfig(step_scale=0.2, barrier=0.05), 3000),
+    # odd walker counts above the 2**14 draw block: odd-length passes
+    # straddle refills
+    (0.4, WalkConfig(step_scale=0.2), 2 ** 14 + 27),
+    # Gaussian steps this large overshoot [0, 1] on crossing
+    (0.5, WalkConfig(step_scale=0.9, mode="gaussian"), 2 ** 14 + 1),
+    # 1 - barrier rounds to 1.0, so the exit clip sets the final weights
+    (0.5, WalkConfig(step_scale=1.0, barrier=1e-17, mode="gaussian"), 3000),
+], ids=["0.3-config0", "0.6-config1", "0.45-config2", "0.7-config3",
+        "odd-binary", "odd-gaussian-overshoot", "near-zero-barrier"])
+def test_compacted_walk_matches_rescan_reference(x0, config, n_walkers):
+    x, status, steps, passes = _rescan_walk(x0, n_walkers, config, seed=21)
+    res = walk_ensemble(x0, n_walkers, config, seed=21)
+    # every case runs past the first block of pooled draws
+    assert res.steps.sum() > 2 ** 14
     assert np.array_equal(res.final, x)
     assert np.array_equal(res.status, status)
     assert np.array_equal(res.steps, steps)
@@ -132,6 +143,27 @@ def test_compacted_walk_matches_rescan_reference(x0, config):
     # only the capped case ends with walkers still active, and not all
     assert res.fraction_unresolved < 1
     assert (res.fraction_unresolved > 0) == (passes == config.max_steps)
+
+
+def test_pooled_binary_signs_equal_integer_draws(monkeypatch):
+    """The signs each pass receives equal one ``integers(0, 2)`` call of
+    the pass's size, over odd and even sizes and across block refills."""
+    draws = []
+
+    def recording(x, scale, draw):
+        draws.append(draw.copy())
+        return step_increment(x, scale, draw)
+
+    monkeypatch.setattr(walk, "step_increment", recording)
+    cfg = WalkConfig(step_scale=0.5, max_steps=40)
+    walk_ensemble(0.5, 2 ** 14 + 27, cfg, seed=4)
+    sizes = [d.size for d in draws]
+    assert len(sizes) == 40
+    assert sum(sizes) > 2 * 2 ** 14
+    assert {size % 2 for size in sizes} == {0, 1}
+    ref = np.random.default_rng((4,))
+    for draw in draws:
+        assert np.array_equal(draw, ref.integers(0, 2, draw.size) * 2.0 - 1.0)
 
 
 def test_capped_walk_reports_unresolved():
