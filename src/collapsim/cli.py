@@ -14,6 +14,10 @@ abort still writes an artifact, flagged ``"status": "aborted"`` with
 ``"partial": true``. The ``conserve`` subcommand reports pass or fail
 against the configured tolerances in the artifact body and exits 0
 either way; failing physics is a result, not a crash.
+
+On glibc, ``main`` fixes the allocator's mmap and trim thresholds so that
+the full-shape work arrays a grid step frees stay resident for the next
+step; library callers keep their own allocator policy.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import ctypes
 import io
 import json
 import math
@@ -40,6 +45,27 @@ from .operators import AngularMomentumZOperator, MomentumOperator
 from .walk import born_linearity_scan
 
 __all__ = ["main"]
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_arrays_resident() -> None:
+    """Keep freed heap arrays of up to 32 MiB resident (glibc only).
+
+    glibc's default policy raises its mmap threshold to the largest freed
+    mmapped block and its trim threshold to twice that, so a grid step's
+    temporaries trim the heap top and fault it back in on every step.
+    Fixing both thresholds (setting one leaves the other at 128 KiB)
+    keeps those pages; 32 MiB is glibc's own cap on the dynamic mmap
+    threshold, so larger arrays are still mmapped.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -376,6 +402,7 @@ def _load_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    _keep_freed_arrays_resident()
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)

@@ -166,11 +166,7 @@ class UnitaryStepper:
                 self._kinetic_phase = (1.0 - half) / (1.0 + half)
                 self._axis_propagators = None
             if pairs:
-                # a fresh full-shape sum, not the geometry's own array: that
-                # heap layout lets the per-step temporaries of a 16^4 run reuse
-                # resident pages (without it such a run takes 42% more minor
-                # page faults and about 7% more wall time)
-                v_total = np.zeros(basis.shape) + _pair_potential(basis, pairs, geometries)
+                v_total = _pair_potential(basis, pairs, geometries)
                 self._half_potential_phase = np.exp(-0.5j * dt * v_total)
             else:
                 self._half_potential_phase = None

@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -293,3 +294,35 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "valid" in proc.stdout
+
+
+_FAULT_PROBE = """
+import resource, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from collapsim import cli
+assert cli.main(["validate", sys.argv[2]]) == 0
+
+def churn():
+    arrays = [np.ones((16,) * 4, complex) for _ in range(8)]
+    del arrays
+
+churn()  # first touch of the pages, counted under any policy
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is set on glibc only")
+def test_main_keeps_freed_work_arrays_resident(tmp_path):
+    # 20 rounds of eight freed 1 MiB arrays touch 40960 pages; under
+    # glibc's default policy nearly all of them fault in again each round
+    path = write_config(tmp_path, "t.json", {"scenario": "grid_scattering"})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, src, path],
+                          capture_output=True, text=True, check=True)
+    faults = int(proc.stdout.split()[-1])
+    assert faults < 0.01 * 20 * 8 * (16 ** 4 * 16 // 4096)
