@@ -152,9 +152,8 @@ def _series(values) -> list:
 # scenario runners; each returns (payload body, optional csv table)
 
 def _run_grid_trajectories(cfg: RunConfig):
-    basis = cfg.grid_basis()
-    state = cfg.initial_state(basis)
-    pairs = cfg.pairs()
+    system = cfg.system()
+    state = cfg.initial_state(system.basis)
     icfg = cfg.integrator_config()
     budget = DeviationAccumulator(scheme=icfg.derivative_scheme)
 
@@ -166,7 +165,7 @@ def _run_grid_trajectories(cfg: RunConfig):
     first = None
     drift = 0.0
     for index in range(cfg.n_traj):
-        rec = run_trajectory(state, icfg, pairs=pairs, seed=cfg.master_seed + index,
+        rec = run_trajectory(system, state, icfg, seed=cfg.master_seed + index,
                              per_step=watch if index == 0 else None)
         if first is None:
             first = rec
@@ -192,10 +191,9 @@ def _run_grid_trajectories(cfg: RunConfig):
 
 
 def _run_two_level(cfg: RunConfig):
-    _, state, diagonal = cfg.finite_system()
-    icfg = cfg.integrator_config()
-    result = run_ensemble(state, icfg, n_trajectories=cfg.n_traj,
-                          master_seed=cfg.master_seed, finite_potential=diagonal)
+    system, state = cfg.finite_system()
+    result = run_ensemble(system, state, cfg.integrator_config(),
+                          n_trajectories=cfg.n_traj, master_seed=cfg.master_seed)
     w_in = float(cfg.section("levels")["weight_in"])
     body = {
         "n_trajectories": result.n_trajectories,
@@ -263,19 +261,19 @@ def _run_conservation(cfg: RunConfig):
         gaps, identities = [], []
         for points in (coarse, 2 * coarse):
             if angular:
-                basis, state, pairs = cfg.angular_system(points)
+                system, state = cfg.angular_system(points)
             else:
-                basis = cfg.grid_basis(points)
-                state, pairs = cfg.initial_state(basis), cfg.pairs()
-            q_op = q_cls(basis, scheme="stencil")
-            gaps.append(attributed_gap(state, pairs, q_op, icfg, cfg.master_seed,
+                system = cfg.system(points)
+                state = cfg.initial_state(system.basis)
+            q_op = q_cls(system.basis, scheme="stencil")
+            gaps.append(attributed_gap(system, state, q_op, icfg, cfg.master_seed,
                                        subtract_control=angular))
-            identities.append(identity_residual(state, pairs, q_op, icfg))
+            identities.append(identity_residual(system, state, q_op, icfg))
         if angular:
-            basis, state, pairs = cfg.angular_system(spectral=True)
+            system, state = cfg.angular_system(spectral=True)
         # the momentum block probes its fine stencil system spectrally
         spectral_residual = identity_residual(
-            state, pairs, q_cls(basis, scheme="spectral"), icfg)
+            system, state, q_cls(system.basis, scheme="spectral"), icfg)
         blocks[observable] = {
             "points": [coarse, 2 * coarse],
             "coarse_gap": gaps[0],

@@ -10,7 +10,7 @@ component, divided by a bound on the energy available to that
 component.
 
 Everything here works in natural units (hbar = 1) on grid states; a
-finite-basis path takes the rate as an explicit input because labeled
+finite system gives its rate and energy explicitly, because labeled
 bases carry no derivatives.
 
 The grid functions read the potential and its derivatives from an

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import OBSERVABLES, IntegratorConfig
+from .integrator import OBSERVABLES, FiniteSystem, GridSystem, IntegratorConfig
 from .operators import GaussianWell, InteractionPair, SoftCoulomb
 from .state import FiniteBasis, GridBasis, GridSpec, ParticleSpec, finite_state, gaussian_packet, normalize
 from .walk import WalkConfig
@@ -389,9 +389,7 @@ def _validate(cfg: RunConfig) -> None:
 
     if "numerics" in tree:
         with _reported("numerics", _fields(
-                tree, "numerics", kappa="physics.kappa", c="physics.c",
-                gamma_override="levels.gamma",
-                energy_denominator="levels.energy_denominator")):
+                tree, "numerics", kappa="physics.kappa", c="physics.c")):
             icfg = cfg.integrator_config()
         for name in icfg.record_observables:
             if name not in OBSERVABLES:
@@ -399,7 +397,7 @@ def _validate(cfg: RunConfig) -> None:
                                   "unknown observable %r; choose from %s"
                                   % (name, list(OBSERVABLES)))
             if scenario not in _GRID_PARTICLES:
-                # the finite-basis runners pass no Hamiltonian to observe
+                # a finite system has no Hamiltonian and records no observables
                 raise ConfigError("numerics.record_observables",
                                   "a finite-basis run records no observables, got %r"
                                   % (name,))
@@ -545,8 +543,12 @@ class RunConfig:
             potential = SoftCoulomb(coupling * pot["strength"], pot["softening"])
         return [InteractionPair(0, 1, potential)]
 
+    def system(self, points: int | None = None) -> GridSystem:
+        """The configured grid system, or one with ``points`` per axis."""
+        return GridSystem(self.grid_basis(points), self.pairs())
+
     def angular_system(self, points: int | None = None, spectral: bool = False):
-        """Basis, state and pairs of a 2-D conservation-suite block.
+        """System and initial state of a 2-D conservation-suite block.
 
         The ``angular`` section describes a grazing collision on
         ``points`` per axis (default: its own count) with the configured
@@ -569,7 +571,7 @@ class RunConfig:
             pairs = [InteractionPair(0, 1, _spectral_well(section))]
         else:
             pairs = self.pairs()
-        return basis, state, pairs
+        return GridSystem(basis, pairs), state
 
     def suite_integrator_config(self, section: str) -> IntegratorConfig:
         """Stencil run of one conservation-suite block.
@@ -598,20 +600,19 @@ class RunConfig:
             "stop_on_absorb": num["stop_on_absorb"],
             "record_observables": tuple(num["record_observables"]),
         }
-        if self.scenario == "two_level_collapse":
-            levels = self.data["levels"]
-            kwargs["gamma_override"] = levels["gamma"]
-            kwargs["energy_denominator"] = levels["energy_denominator"]
         kwargs.update(overrides)
         return IntegratorConfig(**kwargs)
 
     def finite_system(self):
+        """The two-level system and its initial state."""
         levels = self.data["levels"]
         basis = FiniteBasis(tuple(levels["labels"]))
         w = float(levels["weight_in"])
         state = finite_state(basis, np.array([np.sqrt(w), np.sqrt(1.0 - w)],
                                              dtype=complex))
-        return basis, state, np.asarray(levels["diagonal"], dtype=float)
+        system = FiniteSystem(basis, levels["diagonal"], gamma=levels["gamma"],
+                              energy_denominator=levels["energy_denominator"])
+        return system, state
 
     def walk_config(self) -> WalkConfig:
         walk = self.data["walk"]

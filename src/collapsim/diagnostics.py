@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .collapse import collapse_sum, total_diagonal
-from .integrator import IntegratorConfig, run_trajectory
+from .integrator import GridSystem, IntegratorConfig, run_trajectory
 from .operators import PairGeometry, derivative1
 from .state import GridBasis, HilbertState
 
@@ -145,29 +145,28 @@ class ConservationGapTracker:
 _PROBE_INCREMENT = complex(0.021, -0.013)
 
 
-def identity_residual(state: HilbertState, pairs, q_op,
+def identity_residual(system: GridSystem, state: HilbertState, q_op,
                       config: IntegratorConfig) -> float:
     """Pointwise identity residual of ``q_op`` at a fixed probe increment.
 
-    The collapse operators are built from ``pairs`` with the gain, the
-    light speed and the time step of ``config``, differentiated with the
-    scheme of ``q_op``.
+    The collapse operators are built from the system's pairs with the
+    gain, the light speed and the time step of ``config``, differentiated
+    with the scheme of ``q_op``.
     """
-    ops = collapse_sum(state, pairs, kappa=config.kappa, c=config.c,
+    ops = collapse_sum(state, system.pairs, kappa=config.kappa, c=config.c,
                        scheme=q_op.scheme)
     return pointwise_proportionality_check(state, ops, _PROBE_INCREMENT,
                                            q_op, config.dt)
 
 
-def _step_residuals(state, pairs, q_op, config, seed) -> np.ndarray:
+def _step_residuals(system, state, q_op, config, seed) -> np.ndarray:
     tracker = ConservationGapTracker(q_op, config.dt)
-    record = run_trajectory(state, config, pairs=pairs, seed=seed,
-                            per_step=tracker)
+    record = run_trajectory(system, state, config, seed=seed, per_step=tracker)
     tracker.finish(record.final_state)
     return np.asarray(tracker.residuals)
 
 
-def attributed_gap(state: HilbertState, pairs, q_op, config: IntegratorConfig,
+def attributed_gap(system: GridSystem, state: HilbertState, q_op, config: IntegratorConfig,
                    seed: int, subtract_control: bool = False) -> float:
     """Cumulative drift of ``q_op`` along one run, charged to the noise.
 
@@ -178,10 +177,10 @@ def attributed_gap(state: HilbertState, pairs, q_op, config: IntegratorConfig,
     coordinate seam even in exact arithmetic, and that leak must not
     masquerade as stencil error.
     """
-    residuals = _step_residuals(state, pairs, q_op, config, seed)
+    residuals = _step_residuals(system, state, q_op, config, seed)
     if subtract_control:
         residuals = residuals - _step_residuals(
-            state, pairs, q_op, replace(config, kappa=0.0), seed)
+            system, state, q_op, replace(config, kappa=0.0), seed)
     return abs(float(np.sum(residuals)))
 
 

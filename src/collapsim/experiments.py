@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, K_BOLTZMANN, SECONDS_PER_YEAR
-from .integrator import IntegratorConfig, run_trajectory
+from .integrator import FiniteSystem, IntegratorConfig, run_trajectory
 from .state import FiniteBasis, finite_state
 
 __all__ = [
@@ -140,20 +140,20 @@ def _statistics(alpha: np.ndarray, beta: np.ndarray):
 
 
 def _sde_final_amplitudes(config: EraserConfig, seed: int):
-    """Resolved run: branch-selective diagonal, unit integrated noise."""
+    """Final II and OO amplitudes of the ensemble's resolved runs, run i
+    seeded ``seed + i``: branch-selective diagonal, unit integrated noise."""
     basis = FiniteBasis(ERASER_LABELS)
     a_in, a_out = config.amplitudes
     initial = finite_state(basis, np.array([a_in, 0.0, 0.0, a_out], dtype=complex))
-    total_time = config.n_steps * config.dt
+    system = FiniteSystem(basis, (1.0, 0.0, 0.0, 0.0),
+                          gamma=1.0 / (config.n_steps * config.dt),
+                          energy_denominator=1.0)
     run_cfg = IntegratorConfig(
-        dt=config.dt, n_steps=config.n_steps, scheme="split_step_spectral",
-        kappa=2.0 * config.epsilon, real_noise=True,
-        gamma_override=1.0 / total_time, energy_denominator=1.0,
-        stop_on_absorb=False, record_every=config.n_steps)
-    record = run_trajectory(initial, run_cfg, seed=seed,
-                            finite_potential=np.array([1.0, 0.0, 0.0, 0.0]))
-    amp = record.final_state.amplitudes
-    return amp[0], amp[3]
+        dt=config.dt, n_steps=config.n_steps, kappa=2.0 * config.epsilon,
+        real_noise=True, stop_on_absorb=False, record_every=config.n_steps)
+    finals = np.array([run_trajectory(system, initial, run_cfg, seed=seed + i)
+                       .final_state.amplitudes for i in range(config.n_traj)])
+    return finals[:, 0], finals[:, 3]
 
 
 def eraser_run(config: EraserConfig, seed: int = 0) -> EraserResult:
@@ -169,10 +169,7 @@ def eraser_run(config: EraserConfig, seed: int = 0) -> EraserResult:
         alpha = a_in * (1.0 + signs * config.epsilon)
         beta = a_out * (1.0 - signs * config.epsilon)
     else:
-        pairs = [_sde_final_amplitudes(config, seed + i)
-                 for i in range(config.n_traj)]
-        alpha = np.array([p[0] for p in pairs])
-        beta = np.array([p[1] for p in pairs])
+        alpha, beta = _sde_final_amplitudes(config, seed)
     p_same, p_cross = _statistics(alpha, beta)
     matrix = np.array([
         [float(np.mean(p_same)), float(np.mean(p_cross))],

@@ -13,7 +13,11 @@ is exactly zero (kappa = 0, or no pairs) a run hands the step no
 operators and draws no increment, so such runs are bit-identical to
 the bare unitary flow.
 
-The unitary sub-step is either a Strang-split spectral propagator
+Every run steps one system: a ``GridSystem`` (a grid basis and its
+pairs) or a ``FiniteSystem`` (a labelled basis with an explicit
+diagonal, rate and energy), which has no unitary sub-step.
+
+The grid's unitary sub-step is either a Strang-split spectral propagator
 (exact free kinetic phase) or a Crank-Nicolson update of the
 three-point stencil Hamiltonian. The free kinetic phase
 exp(-i dt sum_d k_d^2 / 2 m_d) factors by axis, so the split step
@@ -53,6 +57,8 @@ from .state import (
 )
 
 __all__ = [
+    "GridSystem",
+    "FiniteSystem",
     "IntegratorConfig",
     "UnitaryStepper",
     "StepDiagnostics",
@@ -68,18 +74,67 @@ __all__ = [
 
 # stepping scheme -> scheme of the derivatives taken along its runs
 SCHEMES = {"split_step_spectral": "spectral", "crank_nicolson_stencil": "stencil"}
-# observables a run can record: any of them on a grid (momentum_y and
-# angular_momentum need at least two spatial dimensions), only energy on
-# a finite basis and only when the run is given its Hamiltonian
+# observables a run can record, all on a grid system (momentum_y and
+# angular_momentum need at least two spatial dimensions); a finite system
+# has no Hamiltonian and records none
 OBSERVABLES = ("momentum", "momentum_y", "angular_momentum", "kinetic", "energy")
+
+
+@dataclass(frozen=True)
+class GridSystem:
+    """Particles on a periodic grid and the pairs that interact among them.
+
+    Every run derives the collapse term of each step from the pairs'
+    potentials. The system holds no ``PairGeometry``: a run builds one
+    per pair and frees it on return, so a system kept between runs pins
+    no full-shape field. Holding them raised the peak RSS of one
+    ``cli.main`` call on ``bench/configs/conservation_suite.json`` from
+    224.8 to 278.8 MB, because the momentum block reuses its fine 32^4
+    system for the spectral identity check, the call that sets the peak.
+    """
+
+    basis: GridBasis
+    pairs: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", tuple(self.pairs))
+
+
+@dataclass(frozen=True)
+class FiniteSystem:
+    """A labelled few-level model of the collapse term.
+
+    ``diagonal`` stands in for the interaction potential, one value per
+    label. A labelled basis has no geometry to derive the rate and the
+    energy from, so ``gamma`` and ``energy_denominator`` (E) are given.
+    The system has no Hamiltonian: its runs make no unitary sub-step and
+    record no observables.
+    """
+
+    basis: FiniteBasis
+    diagonal: tuple
+    gamma: float
+    energy_denominator: float
+    # the diagonal as a read-only array, for the per-step operator
+    values: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "diagonal", tuple(float(v) for v in self.diagonal))
+        if len(self.diagonal) != len(self.basis.labels):
+            raise ValueError("diagonal needs one value per label")
+        if not self.gamma > 0.0:
+            raise ValueError("gamma must be positive")
+        if not self.energy_denominator > 0.0:
+            raise ValueError("energy_denominator must be positive")
+        object.__setattr__(self, "values", np.array(self.diagonal))
+        self.values.flags.writeable = False
 
 
 @dataclass
 class IntegratorConfig:
-    """Step size, scheme and collapse coupling for one run.
+    """Step size, scheme, recording and collapse gain of one run.
 
-    ``gamma_override`` and ``energy_denominator`` feed the finite-basis
-    backend, where no interaction geometry exists to derive them from.
+    The physics of what is stepped lives in the run's system.
     """
 
     dt: float
@@ -92,8 +147,6 @@ class IntegratorConfig:
     record_every: int = 1
     absorb_threshold: float = 1e-3
     stop_on_absorb: bool = True
-    gamma_override: float | None = None
-    energy_denominator: float | None = None
     record_observables: tuple = ()
 
     def __post_init__(self):
@@ -111,10 +164,6 @@ class IntegratorConfig:
             raise ValueError("absorb_threshold must lie in (0, 0.5)")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
-        if self.gamma_override is not None and not self.gamma_override > 0.0:
-            raise ValueError("gamma_override must be positive")
-        if self.energy_denominator is not None and not self.energy_denominator > 0.0:
-            raise ValueError("energy_denominator must be positive")
 
     @property
     def derivative_scheme(self) -> str:
@@ -134,58 +183,34 @@ class IntegratorConfig:
 
 
 class UnitaryStepper:
-    """Cached one-step propagator for the deterministic sub-step.
+    """Cached one-step propagator of a grid run's deterministic sub-step.
 
-    On a grid the pair potentials come from ``geometries`` (one
-    ``PairGeometry`` per pair) when given, else they are computed here;
-    ``hamiltonian`` is ignored. The split step holds one read-only free
-    propagator matrix per axis; the Crank-Nicolson step holds its
-    full-shape Cayley phase. On a finite basis ``pairs`` is ignored and
-    ``hamiltonian``, when given, must be Hermitian: its propagator comes
-    from ``np.linalg.eigh``, which reads one triangle only.
+    The pair potentials come from ``geometries`` (one ``PairGeometry``
+    per pair) when given, else they are computed here. The split step
+    holds one read-only free propagator matrix per axis; the
+    Crank-Nicolson step holds its full-shape Cayley phase.
     """
 
-    def __init__(self, basis, dt: float, scheme: str = "split_step_spectral",
-                 pairs: tuple = (), hamiltonian: LinearOperator | None = None,
-                 geometries=None):
-        self.dt = float(dt)
-        self.scheme = scheme
-        if isinstance(basis, GridBasis):
-            self._mode = "grid"
-            if scheme == "split_step_spectral":
-                n, h = basis.grid.points_per_axis, basis.grid.spacing
-                self._axis_propagators = tuple(
-                    _free_propagator(n, h, dt, basis.axis_mass(axis))
-                    for axis in range(basis.n_axes))
-                self._kinetic_phase = None
-            else:
-                # Cayley transform of the stencil symbol: unconditionally
-                # unitary, second order, no linear solve needed since the
-                # stencil diagonalizes in the Fourier basis.
-                half = 0.5j * dt * kinetic_symbol(basis, scheme=SCHEMES[scheme])
-                self._kinetic_phase = (1.0 - half) / (1.0 + half)
-                self._axis_propagators = None
-            if pairs:
-                v_total = _pair_potential(basis, pairs, geometries)
-                self._half_potential_phase = np.exp(-0.5j * dt * v_total)
-            else:
-                self._half_potential_phase = None
-        elif isinstance(basis, FiniteBasis):
-            self._mode = "matrix"
-            if hamiltonian is None:
-                self._propagator = None
-            else:
-                n = len(basis.labels)
-                h_mat = np.zeros((n, n), complex)
-                eye = np.eye(n, dtype=complex)
-                for col in range(n):
-                    h_mat[:, col] = hamiltonian.apply(eye[:, col])
-                if not np.allclose(h_mat, h_mat.conj().T, atol=1e-13):
-                    raise ValueError("the finite-basis Hamiltonian must be Hermitian")
-                vals, vecs = np.linalg.eigh(h_mat)
-                self._propagator = (vecs * np.exp(-1j * dt * vals)) @ vecs.conj().T
+    def __init__(self, basis: GridBasis, dt: float, scheme: str = "split_step_spectral",
+                 pairs: tuple = (), geometries=None):
+        if scheme == "split_step_spectral":
+            n, h = basis.grid.points_per_axis, basis.grid.spacing
+            self._axis_propagators = tuple(
+                _free_propagator(n, h, dt, basis.axis_mass(axis))
+                for axis in range(basis.n_axes))
+            self._kinetic_phase = None
         else:
-            raise TypeError(f"unsupported basis type {type(basis).__name__}")
+            # Cayley transform of the stencil symbol: unconditionally
+            # unitary, second order, no linear solve needed since the
+            # stencil diagonalizes in the Fourier basis.
+            half = 0.5j * dt * kinetic_symbol(basis, scheme=SCHEMES[scheme])
+            self._kinetic_phase = (1.0 - half) / (1.0 + half)
+            self._axis_propagators = None
+        if pairs:
+            v_total = _pair_potential(basis, pairs, geometries)
+            self._half_potential_phase = np.exp(-0.5j * dt * v_total)
+        else:
+            self._half_potential_phase = None
 
     def _kinetic(self, amplitudes):
         if self._axis_propagators is None:
@@ -195,10 +220,6 @@ class UnitaryStepper:
         return amplitudes
 
     def step(self, amplitudes: np.ndarray) -> np.ndarray:
-        if self._mode == "matrix":
-            if self._propagator is None:
-                return amplitudes
-            return self._propagator @ amplitudes
         if self._half_potential_phase is None:
             return self._kinetic(amplitudes)
         amp = self._kinetic(self._half_potential_phase * amplitudes)
@@ -299,17 +320,13 @@ class TrajectoryRecord:
         return float(np.max(np.abs(self.norms_before_renormalize - 1.0)))
 
 
-def _build_observables(basis, names, config, pairs, hamiltonian, geometries):
+def _build_observables(system, config, geometries):
     ops = {}
-    scheme = config.derivative_scheme
-    for name in names:
+    basis, scheme = system.basis, config.derivative_scheme
+    for name in config.record_observables:
         if name not in OBSERVABLES:
             raise ValueError(f"unknown observable {name!r}, expected one of {OBSERVABLES}")
-        if not isinstance(basis, GridBasis):
-            if name != "energy" or hamiltonian is None:
-                raise ValueError(f"observable {name!r} not available on a finite basis")
-            ops[name] = hamiltonian
-        elif name == "momentum":
+        if name == "momentum":
             ops[name] = MomentumOperator(basis, dim=0, scheme=scheme)
         elif name == "momentum_y":
             ops[name] = MomentumOperator(basis, dim=1, scheme=scheme)
@@ -318,7 +335,7 @@ def _build_observables(basis, names, config, pairs, hamiltonian, geometries):
         elif name == "kinetic":
             ops[name] = KineticOperator(basis, scheme=scheme)
         else:
-            ops[name] = hamiltonian_operator(basis, pairs, scheme=scheme,
+            ops[name] = hamiltonian_operator(basis, system.pairs, scheme=scheme,
                                              geometries=geometries)
     return ops
 
@@ -368,50 +385,55 @@ def _ops_split(state, ops):
     return branch_split(state, centred)[:2]
 
 
-def _collapse_ops_for(state, pairs, config, finite_potential, geometries):
-    if pairs:
+def _setup(system, config):
+    """Unitary stepper, recorded observables and per-step collapse
+    operator builder of one run of ``system``.
+
+    A grid run builds one ``PairGeometry`` per pair here, shared by the
+    stepper, the energy observable and the builder, and freed with them
+    when the run returns. A finite run has no unitary sub-step and no
+    observables, and reuses the system's diagonal with its rate.
+    """
+    if isinstance(system, FiniteSystem):
+        if config.record_observables:
+            raise ValueError("a finite system records no observables, got %r"
+                             % (config.record_observables,))
+
+        def collapse_ops(state):
+            return [collapse_from_diagonal(state, system.values, gamma_value=system.gamma,
+                                           energy_denominator=system.energy_denominator,
+                                           kappa=config.kappa)]
+        return None, {}, collapse_ops
+
+    basis, pairs = system.basis, system.pairs
+    config.validate_grid(basis)
+    geometries = tuple(PairGeometry(basis, pair) for pair in pairs)
+    stepper = UnitaryStepper(basis, config.dt, scheme=config.scheme, pairs=pairs,
+                             geometries=geometries)
+    observables = _build_observables(system, config, geometries)
+
+    def collapse_ops(state):
         return collapse_sum(state, pairs, kappa=config.kappa, c=config.c,
-                            scheme=config.derivative_scheme,
-                            geometries=geometries)
-    if finite_potential is not None:
-        if config.gamma_override is None or config.energy_denominator is None:
-            raise ValueError(
-                "finite-basis collapse runs need gamma_override and energy_denominator"
-            )
-        return [collapse_from_diagonal(state, finite_potential,
-                                       gamma_value=config.gamma_override,
-                                       energy_denominator=config.energy_denominator,
-                                       kappa=config.kappa)]
-    return []
+                            scheme=config.derivative_scheme, geometries=geometries)
+    return stepper, observables, collapse_ops
 
 
-def run_trajectory(initial: HilbertState, config: IntegratorConfig, pairs=(), seed: int = 0,
-                   finite_potential=None, hamiltonian: LinearOperator | None = None,
+def run_trajectory(system: GridSystem | FiniteSystem, initial: HilbertState,
+                   config: IntegratorConfig, seed: int = 0,
                    per_step=None) -> TrajectoryRecord:
-    """Integrate one stochastic trajectory from ``initial``.
+    """Integrate one stochastic trajectory of ``system`` from ``initial``.
 
     Grid runs derive the collapse operator of every pair afresh each
-    step (the rate tracks the evolving state) from one ``PairGeometry``
-    per pair, built once here and shared with the unitary stepper and
-    the energy observable; finite-basis runs reuse the supplied diagonal
-    with the configured rate. Operators are built only for steps that
-    are taken: the branch split of each new state (recorded, and tested
-    against the absorption threshold) recentres the operators of the
-    step that produced it. Recording happens
-    at step multiples of ``record_every`` plus the initial and final
-    points. ``per_step(step_index, state, ops, increment)`` is invoked
-    before each step for callers that accumulate extra diagnostics.
+    step (the rate tracks the evolving state); finite runs reuse the
+    system's diagonal with its rate. Operators are built only for steps
+    that are taken: the branch split of each new state (recorded, and
+    tested against the absorption threshold) recentres the operators of
+    the step that produced it. Recording happens at step multiples of
+    ``record_every`` plus the initial and final points.
+    ``per_step(step_index, state, ops, increment)`` is invoked before
+    each step for callers that accumulate extra diagnostics.
     """
-    basis = initial.basis
-    pairs = tuple(pairs)
-    geometries = None
-    if isinstance(basis, GridBasis):
-        config.validate_grid(basis)
-        geometries = tuple(PairGeometry(basis, pair) for pair in pairs)
-    stepper = UnitaryStepper(basis, config.dt, scheme=config.scheme, pairs=pairs,
-                             hamiltonian=hamiltonian, geometries=geometries)
-    observables = _build_observables(basis, config.record_observables, config,
-                                     pairs, hamiltonian, geometries)
+    stepper, observables, collapse_ops = _setup(system, config)
     wiener = WienerProcess(seed, real_noise=config.real_noise)
 
     state = initial
@@ -449,12 +471,12 @@ def run_trajectory(initial: HilbertState, config: IntegratorConfig, pairs=(), se
                 exp_series[name + suffix].append(
                     float(np.sum(local[mask]) / w) if w > 0.0 else float("nan"))
 
-    ops = _collapse_ops_for(state, pairs, config, finite_potential, geometries)
+    ops = collapse_ops(state)
     absorbing = config.stop_on_absorb and bool(ops)
     record(state, *_ops_split(state, ops))
     for step in range(config.n_steps):
         if step > 0:
-            ops = _collapse_ops_for(state, pairs, config, finite_potential, geometries)
+            ops = collapse_ops(state)
         shifting = bool(ops) and total_diagonal(ops).any()
         increment = wiener.increment(config.dt) if shifting else 0.0
         if per_step is not None:
@@ -493,15 +515,10 @@ def run_trajectory(initial: HilbertState, config: IntegratorConfig, pairs=(), se
     )
 
 
-def run_schrodinger_reference(initial: HilbertState, config: IntegratorConfig, pairs=(),
-                              hamiltonian: LinearOperator | None = None) -> HilbertState:
+def run_schrodinger_reference(system: GridSystem | FiniteSystem, initial: HilbertState,
+                              config: IntegratorConfig) -> HilbertState:
     """Deterministic companion run: same stepping, no shift branch."""
-    basis = initial.basis
-    pairs = tuple(pairs)
-    if isinstance(basis, GridBasis):
-        config.validate_grid(basis)
-    stepper = UnitaryStepper(basis, config.dt, scheme=config.scheme, pairs=pairs,
-                             hamiltonian=hamiltonian)
+    stepper, _, _ = _setup(system, config)
     state = initial
     for _ in range(config.n_steps):
         state, _ = ito_step(state, [], 0.0, config, stepper=stepper)
@@ -547,9 +564,9 @@ class EnsembleResult:
         return float(np.sqrt(max(p * (1.0 - p), 1e-12) / n))
 
 
-def run_ensemble(initial: HilbertState, config: IntegratorConfig, pairs=(),
-                 n_trajectories: int = 100, master_seed: int = 0,
-                 finite_potential=None, hamiltonian: LinearOperator | None = None) -> EnsembleResult:
+def run_ensemble(system: GridSystem | FiniteSystem, initial: HilbertState,
+                 config: IntegratorConfig, n_trajectories: int = 100,
+                 master_seed: int = 0) -> EnsembleResult:
     """Run independent trajectories with per-index derived seeds."""
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be at least 1")
@@ -560,8 +577,7 @@ def run_ensemble(initial: HilbertState, config: IntegratorConfig, pairs=(),
     rows = []
     for index in range(n_trajectories):
         seed = master_seed + index
-        rec = run_trajectory(initial, config, pairs=pairs, seed=seed,
-                             finite_potential=finite_potential, hamiltonian=hamiltonian)
+        rec = run_trajectory(system, initial, config, seed=seed)
         row = rec.weight_in
         if row.size < n_records:
             row = np.concatenate([row, np.full(n_records - row.size, row[-1])])

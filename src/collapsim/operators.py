@@ -50,7 +50,6 @@ __all__ = [
     "LinearOperator",
     "IdentityOperator",
     "DiagonalOperator",
-    "MatrixOperator",
     "KineticOperator",
     "MomentumOperator",
     "AngularMomentumZOperator",
@@ -213,19 +212,6 @@ class DiagonalOperator(LinearOperator):
 
     def apply(self, amplitudes):
         return self.values * amplitudes
-
-
-class MatrixOperator(LinearOperator):
-    """Dense matrix on a finite basis."""
-
-    def __init__(self, matrix):
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("matrix must be square, got shape %s" % (matrix.shape,))
-        self.matrix = matrix
-
-    def apply(self, amplitudes):
-        return self.matrix @ amplitudes
 
 
 class KineticOperator(LinearOperator):

@@ -75,10 +75,9 @@ def two_level_ensemble():
     cfg = parse_config_data({"scenario": "two_level_collapse",
                              "numerics": {"dt": 0.05, "n_steps": 400,
                                           "record_every": 10}})
-    _, state, diagonal = cfg.finite_system()
-    result = run_ensemble(state, cfg.integrator_config(),
-                          n_trajectories=10_000, master_seed=0,
-                          finite_potential=diagonal)
+    system, state = cfg.finite_system()
+    result = run_ensemble(system, state, cfg.integrator_config(),
+                          n_trajectories=10_000, master_seed=0)
     return cfg, result
 
 
@@ -108,7 +107,7 @@ def test_two_level_martingale(two_level_ensemble):
 
     # per-step ledger: the stochastic density change the interacting
     # branch gains is exactly what the other branch loses
-    _, state, diagonal = cfg.finite_system()
+    system, state = cfg.finite_system()
     icfg = cfg.integrator_config(n_steps=200, stop_on_absorb=False)
     mismatches, magnitudes = [], []
 
@@ -122,8 +121,7 @@ def test_two_level_martingale(two_level_ensemble):
         mismatches.append(abs(gained + lost))
         magnitudes.append(abs(gained))
 
-    run_trajectory(state, icfg, seed=3, finite_potential=diagonal,
-                   per_step=watch)
+    run_trajectory(system, state, icfg, seed=3, per_step=watch)
     print("martingale: %d steps, worst in/out mismatch %.3g, typical %.3g"
           % (len(mismatches), max(mismatches), float(np.median(magnitudes))))
     assert len(mismatches) == 200
@@ -139,10 +137,9 @@ def test_sde_walk_exact_agreement(walk_scan, two_level_ensemble):
                                    "levels": {"weight_in": weight},
                                    "numerics": {"dt": 0.05, "n_steps": 500,
                                                 "record_every": 100}})
-        _, state, diagonal = local.finite_system()
-        result = run_ensemble(state, local.integrator_config(),
-                              n_trajectories=4_000, master_seed=1,
-                              finite_potential=diagonal)
+        system, state = local.finite_system()
+        result = run_ensemble(system, state, local.integrator_config(),
+                              n_trajectories=4_000, master_seed=1)
         assert result.fraction_unresolved < 0.02
         sde[weight] = (result.fraction_absorbed_in,
                        result.binomial_sigma(weight))
@@ -161,8 +158,8 @@ def test_sde_walk_exact_agreement(walk_scan, two_level_ensemble):
 
 def test_zero_gain_reduces_to_schrodinger():
     cfg = parse_config_data({"scenario": "free_packet"})
-    basis = cfg.grid_basis()
-    initial = cfg.initial_state(basis)
+    system = cfg.system()
+    initial = cfg.initial_state(system.basis)
     icfg = cfg.integrator_config()
     assert icfg.kappa == 0.0 and icfg.n_steps >= 1000
 
@@ -173,7 +170,7 @@ def test_zero_gain_reduces_to_schrodinger():
         if step in (250, 500, 750):
             checkpoints[state.time] = axis_width(state)
 
-    record = run_trajectory(initial, icfg, seed=0, per_step=watch)
+    record = run_trajectory(system, initial, icfg, seed=0, per_step=watch)
     checkpoints[record.final_state.time] = axis_width(record.final_state)
 
     worst = 0.0
@@ -184,7 +181,7 @@ def test_zero_gain_reduces_to_schrodinger():
           % (worst, len(checkpoints), record.final_state.time))
     assert worst <= 1e-6
 
-    reference = run_schrodinger_reference(initial, icfg)
+    reference = run_schrodinger_reference(system, initial, icfg)
     assert np.array_equal(record.final_state.amplitudes, reference.amplitudes)
 
 
@@ -204,12 +201,12 @@ def test_momentum_drift_refines_second_order():
         icfg = cfg.suite_integrator_config("numerics")
         gaps, idents = [], []
         for n in (64, 128):
-            basis = cfg.grid_basis(n)
-            state, pairs = cfg.initial_state(basis), cfg.pairs()
-            q_op = MomentumOperator(basis, scheme="stencil")
-            gaps.append(attributed_gap(state, pairs, q_op, icfg,
+            system = cfg.system(n)
+            state = cfg.initial_state(system.basis)
+            q_op = MomentumOperator(system.basis, scheme="stencil")
+            gaps.append(attributed_gap(system, state, q_op, icfg,
                                        cfg.master_seed))
-            idents.append(identity_residual(state, pairs, q_op, icfg))
+            idents.append(identity_residual(system, state, q_op, icfg))
         gap_ratio = gaps[0] / gaps[1]
         ident_ratio = idents[0] / idents[1]
         print("momentum kappa=%g: gap ratio %.3f ident ratio %.3f"
@@ -218,9 +215,9 @@ def test_momentum_drift_refines_second_order():
         assert 3.0 <= ident_ratio <= 5.0
 
     cfg = suite_config(1.0, "numerics", 0.003, 40)
-    basis = cfg.grid_basis(64)
-    spectral = identity_residual(cfg.initial_state(basis), cfg.pairs(),
-                                 MomentumOperator(basis, scheme="spectral"),
+    system = cfg.system(64)
+    spectral = identity_residual(system, cfg.initial_state(system.basis),
+                                 MomentumOperator(system.basis, scheme="spectral"),
                                  cfg.suite_integrator_config("numerics"))
     print("momentum spectral residual %.3g" % spectral)
     assert spectral < 1e-10
@@ -232,11 +229,11 @@ def test_angular_drift_refines_second_order():
         icfg = cfg.suite_integrator_config("angular")
         gaps, idents = [], []
         for n in (16, 32):
-            basis, state, pairs = cfg.angular_system(n)
-            q_op = AngularMomentumZOperator(basis, scheme="stencil")
-            gaps.append(attributed_gap(state, pairs, q_op, icfg,
+            system, state = cfg.angular_system(n)
+            q_op = AngularMomentumZOperator(system.basis, scheme="stencil")
+            gaps.append(attributed_gap(system, state, q_op, icfg,
                                        cfg.master_seed, subtract_control=True))
-            idents.append(identity_residual(state, pairs, q_op, icfg))
+            idents.append(identity_residual(system, state, q_op, icfg))
         gap_ratio = gaps[0] / gaps[1]
         ident_ratio = idents[0] / idents[1]
         print("angular kappa=%g: gap ratio %.3f ident ratio %.3f"
@@ -245,9 +242,9 @@ def test_angular_drift_refines_second_order():
         assert 3.0 <= ident_ratio <= 5.0
 
     cfg = suite_config(1.0, "angular", 0.01, 30)
-    basis, state, pairs = cfg.angular_system(spectral=True)
+    system, state = cfg.angular_system(spectral=True)
     spectral = identity_residual(
-        state, pairs, AngularMomentumZOperator(basis, scheme="spectral"),
+        system, state, AngularMomentumZOperator(system.basis, scheme="spectral"),
         cfg.suite_integrator_config("angular"))
     print("angular spectral residual %.3g" % spectral)
     assert spectral < 1e-10
@@ -255,9 +252,8 @@ def test_angular_drift_refines_second_order():
 
 def test_energy_deviation_budget_structure():
     cfg = parse_config_data({"scenario": "grid_scattering"})
-    basis = cfg.grid_basis()
-    initial = cfg.initial_state(basis)
-    pairs = cfg.pairs()
+    system = cfg.system()
+    initial = cfg.initial_state(system.basis)
     icfg = cfg.integrator_config()
     budget = DeviationAccumulator()
     floor = []
@@ -267,8 +263,7 @@ def test_energy_deviation_budget_structure():
             terms = budget.add(state, ops, icfg.dt)
             floor.append(terms.positive_definite_term)
 
-    record = run_trajectory(initial, icfg, pairs=pairs, seed=0,
-                            per_step=watch)
+    record = run_trajectory(system, initial, icfg, seed=0, per_step=watch)
     kinetic = record.expectations["kinetic"]
     delta_ke = abs(kinetic[-1] - kinetic[0])
     measured = budget.rms / delta_ke

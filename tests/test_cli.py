@@ -151,9 +151,10 @@ def test_grid_norm_drift_covers_every_trajectory(tmp_path):
     assert main(["run", path]) == 0
     body = read_artifact(tmp_path, "grid_scattering")
     cfg = parse_config(path)
-    basis = cfg.grid_basis()
-    drifts = [run_trajectory(cfg.initial_state(basis), cfg.integrator_config(),
-                             pairs=cfg.pairs(), seed=cfg.master_seed + index).max_norm_drift
+    system = cfg.system()
+    drifts = [run_trajectory(system, cfg.initial_state(system.basis),
+                             cfg.integrator_config(),
+                             seed=cfg.master_seed + index).max_norm_drift
               for index in range(cfg.n_traj)]
     assert drifts[0] < max(drifts)
     assert body["max_norm_drift"] == max(drifts)
@@ -248,15 +249,15 @@ def test_conserve_toy_resolution(tmp_path):
     # the runner is a shell over the library: the same calls on the same
     # parsed config reproduce the artifact's numbers exactly
     cfg = parse_config(path)
-    basis = cfg.grid_basis(16)
-    momentum = attributed_gap(cfg.initial_state(basis), cfg.pairs(),
-                              MomentumOperator(basis, scheme="stencil"),
+    system = cfg.system(16)
+    momentum = attributed_gap(system, cfg.initial_state(system.basis),
+                              MomentumOperator(system.basis, scheme="stencil"),
                               cfg.suite_integrator_config("numerics"),
                               cfg.master_seed)
     assert body["blocks"]["momentum"]["coarse_gap"] == momentum
-    basis, state, pairs = cfg.angular_system(spectral=True)
-    angular = identity_residual(state, pairs,
-                                AngularMomentumZOperator(basis, scheme="spectral"),
+    system, state = cfg.angular_system(spectral=True)
+    angular = identity_residual(system, state,
+                                AngularMomentumZOperator(system.basis, scheme="spectral"),
                                 cfg.suite_integrator_config("angular"))
     assert body["blocks"]["angular_momentum"]["spectral_residual"] == angular
 

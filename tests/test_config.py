@@ -306,13 +306,13 @@ def test_charges_scale_pair_coupling():
 def test_finite_system_builder():
     cfg = parse_config_data({"scenario": "two_level_collapse",
                              "levels": {"weight_in": 0.36}})
-    basis, state, diagonal = cfg.finite_system()
-    assert tuple(basis.labels) == ("in", "out")
+    system, state = cfg.finite_system()
+    assert tuple(system.basis.labels) == ("in", "out")
+    assert state.basis == system.basis
     assert abs(state.amplitudes[0]) ** 2 == pytest.approx(0.36)
-    assert list(diagonal) == [1.0, 0.0]
-    icfg = cfg.integrator_config()
-    assert icfg.gamma_override == 4.0
-    assert icfg.energy_denominator == 2.0
+    assert system.diagonal == (1.0, 0.0)
+    assert system.gamma == 4.0
+    assert system.energy_denominator == 2.0
 
 
 def test_scenario_specific_builders():

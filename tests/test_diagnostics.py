@@ -21,7 +21,7 @@ from collapsim.diagnostics import (
     pointwise_proportionality_check,
     proportionality_mismatch_field,
 )
-from collapsim.integrator import IntegratorConfig, run_trajectory
+from collapsim.integrator import FiniteSystem, GridSystem, IntegratorConfig, run_trajectory
 from collapsim.operators import (
     DiagonalOperator,
     GaussianWell,
@@ -128,7 +128,7 @@ def test_free_run_conserves_momentum():
     cfg = IntegratorConfig(dt=0.01, n_steps=60, scheme="split_step_spectral",
                            kappa=0.0, record_every=10,
                            record_observables=("momentum",))
-    series = run_trajectory(state, cfg, seed=3).expectations["momentum"]
+    series = run_trajectory(GridSystem(basis), state, cfg, seed=3).expectations["momentum"]
     assert series[0] == pytest.approx(0.7, rel=1e-3)
     assert np.max(np.abs(series - series[0])) < 1e-12
 
@@ -148,7 +148,8 @@ def _tracked_run(n, scheme, seed=5):
     dscheme = cfg.derivative_scheme
     tracker = ConservationGapTracker(MomentumOperator(basis, scheme=dscheme),
                                      cfg.dt)
-    record = run_trajectory(state, cfg, pairs=pairs, seed=seed, per_step=tracker)
+    record = run_trajectory(GridSystem(basis, pairs), state, cfg, seed=seed,
+                            per_step=tracker)
     tracker.finish(record.final_state)
     return basis, cfg, tracker
 
@@ -175,14 +176,11 @@ def test_gap_tracker_stencil_refines_second_order():
 def test_gap_tracker_exact_for_commuting_finite_diagonal():
     basis = FiniteBasis(("in", "out"))
     psi = finite_state(basis, np.array([np.sqrt(0.37), np.sqrt(0.63)], dtype=complex))
-    cfg = IntegratorConfig(dt=0.01, n_steps=200, scheme="split_step_spectral",
-                           gamma_override=4.0, energy_denominator=2.0,
-                           stop_on_absorb=False)
+    system = FiniteSystem(basis, (1.0, 0.0), gamma=4.0, energy_denominator=2.0)
+    cfg = IntegratorConfig(dt=0.01, n_steps=200, stop_on_absorb=False)
     tracker = ConservationGapTracker(DiagonalOperator(np.array([1.0, 0.0])),
                                      cfg.dt)
-    record = run_trajectory(psi, cfg, seed=31,
-                            finite_potential=np.array([1.0, 0.0]),
-                            per_step=tracker)
+    record = run_trajectory(system, psi, cfg, seed=31, per_step=tracker)
     tracker.finish(record.final_state)
     assert abs(tracker.values[-1] - tracker.values[0]) > 0.05
     assert tracker.gap < 1e-12

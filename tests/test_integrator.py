@@ -6,6 +6,9 @@ one-step shift map. Stochastic assertions run on frozen seeds with
 bands derived from the sample size, so they are deterministic.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from collapsim import integrator as integrator_module
 from collapsim import operators as operators_module
 from collapsim.collapse import collapse_from_diagonal, collapse_sum, total_diagonal
 from collapsim.integrator import (
+    FiniteSystem,
+    GridSystem,
     IntegratorConfig,
     UnitaryStepper,
     density_change_decomposition,
@@ -27,7 +32,6 @@ from collapsim.operators import (
     DiagonalOperator,
     GaussianWell,
     InteractionPair,
-    MatrixOperator,
     SoftCoulomb,
     hamiltonian_operator,
 )
@@ -114,12 +118,18 @@ def test_config_validation_rejects_bad_values():
     assert IntegratorConfig(**good, scheme="crank_nicolson_stencil").derivative_scheme == "stencil"
 
 
-@pytest.mark.parametrize("field", ["gamma_override", "energy_denominator"])
+# the gamma case keeps its earlier test id, gamma_override
+@pytest.mark.parametrize("field", [pytest.param("gamma", id="gamma_override"),
+                                   "energy_denominator"])
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
 def test_finite_rate_parameters_must_be_positive(field, value):
+    rates = dict(gamma=4.0, energy_denominator=2.0)
+    basis = FiniteBasis(("in", "out"))
     with pytest.raises(ValueError, match=field):
-        IntegratorConfig(dt=0.01, n_steps=3, **{field: value})
-    IntegratorConfig(dt=0.01, n_steps=3, **{field: None})
+        FiniteSystem(basis, (1.0, 0.0), **{**rates, field: value})
+    with pytest.raises(ValueError, match="diagonal"):
+        FiniteSystem(basis, (1.0, 0.0, 0.0), **rates)
+    FiniteSystem(basis, (1.0, 0.0), **rates)
 
 
 def _pair_system(n=64, extent=8.0, masses=(1.0, 1.5), centers=(-0.8, 0.8),
@@ -139,7 +149,7 @@ def test_stencil_stability_bound_enforced():
     with pytest.raises(ValueError, match="stability"):
         cfg.validate_grid(basis)
     with pytest.raises(ValueError, match="stability"):
-        run_trajectory(state, cfg, pairs=(pair,), seed=0)
+        run_trajectory(GridSystem(basis, (pair,)), state, cfg, seed=0)
     IntegratorConfig(dt=0.5 * bound, n_steps=5,
                      scheme="crank_nicolson_stencil").validate_grid(basis)
 
@@ -152,7 +162,7 @@ def test_spectral_free_packet_width_matches_closed_form():
     basis = GridBasis(GridSpec(1, 256, 16.0), (ParticleSpec(m),))
     state = normalize(gaussian_packet(basis, [0.0], [s0], [k0]))
     cfg = IntegratorConfig(dt=0.002, n_steps=1000, renormalize=False)
-    final = run_schrodinger_reference(state, cfg)
+    final = run_schrodinger_reference(GridSystem(basis), state, cfg)
     t = cfg.dt * cfg.n_steps
 
     x = DiagonalOperator(basis.axis_coordinate(0))
@@ -178,38 +188,6 @@ def test_unitary_steppers_preserve_norm():
         assert drift < 1e-12, scheme
 
 
-def test_matrix_stepper_matches_rabi_rotation():
-    omega, dt, steps = 0.9, 0.04, 25
-    basis = FiniteBasis(("in", "out"))
-    ham = MatrixOperator([[0.0, omega], [omega, 0.0]])
-    stepper = UnitaryStepper(basis, dt, hamiltonian=ham)
-    amp = np.array([1.0, 0.0], complex)
-    for _ in range(steps):
-        amp = stepper.step(amp)
-    theta = omega * dt * steps
-    expected = np.array([np.cos(theta), -1j * np.sin(theta)])
-    np.testing.assert_allclose(amp, expected, atol=1e-12)
-
-
-def test_matrix_stepper_rejects_a_non_hermitian_hamiltonian():
-    # eigh would read one triangle of [[0, 1], [0, 0]] and propagate by the
-    # zero matrix, i.e. return the identity
-    basis = FiniteBasis(("in", "out"))
-    with pytest.raises(ValueError, match="Hermitian"):
-        UnitaryStepper(basis, 0.5, hamiltonian=MatrixOperator([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="Hermitian"):
-        run_schrodinger_reference(finite_state(basis, [1.0, 0.0]),
-                                  IntegratorConfig(dt=0.5, n_steps=1),
-                                  hamiltonian=MatrixOperator([[0.0, 1.0j], [1.0j, 0.0]]))
-
-
-def test_matrix_stepper_identity_without_hamiltonian():
-    basis = FiniteBasis(("a", "b", "c"))
-    stepper = UnitaryStepper(basis, 0.1)
-    amp = np.array([0.2, -0.5j, 0.3 + 0.1j])
-    assert np.array_equal(stepper.step(amp), amp)
-
-
 # ---------------------------------------------------------------- single steps
 
 
@@ -220,12 +198,13 @@ def _two_level(w_in=0.37, phase=0.0):
 
 
 TWO_LEVEL_DIAG = np.array([1.0, 0.0])
+TWO_LEVEL = FiniteSystem(FiniteBasis(("in", "out")), TWO_LEVEL_DIAG, gamma=4.0,
+                         energy_denominator=2.0)
 
 
 def test_renormalized_step_reports_prior_norm():
     state = _two_level(0.4)
-    cfg = IntegratorConfig(dt=0.01, n_steps=1, gamma_override=4.0,
-                           energy_denominator=2.0)
+    cfg = IntegratorConfig(dt=0.01, n_steps=1)
     ops = [collapse_from_diagonal(state, TWO_LEVEL_DIAG, gamma_value=4.0,
                                   energy_denominator=2.0, kappa=1.0)]
     xi = WienerProcess(seed=5).increment(cfg.dt)
@@ -252,28 +231,23 @@ def test_renormalizing_a_non_finite_state_raises(bad):
 
 
 def test_kappa_zero_is_bit_identical_to_reference_finite():
-    basis = FiniteBasis(("in", "out"))
-    state = finite_state(basis, [0.8, 0.6j])
-    ham = MatrixOperator([[0.0, 0.3], [0.3, 0.0]])
-    cfg = IntegratorConfig(dt=0.01, n_steps=50, kappa=0.0,
-                           gamma_override=4.0, energy_denominator=2.0)
-    rec = run_trajectory(state, cfg, seed=11, finite_potential=TWO_LEVEL_DIAG,
-                         hamiltonian=ham)
-    ref = run_schrodinger_reference(state, cfg, hamiltonian=ham)
+    state = finite_state(TWO_LEVEL.basis, [0.8, 0.6j])
+    cfg = IntegratorConfig(dt=0.01, n_steps=50, kappa=0.0)
+    rec = run_trajectory(TWO_LEVEL, state, cfg, seed=11)
+    ref = run_schrodinger_reference(TWO_LEVEL, state, cfg)
     assert np.array_equal(rec.final_state.amplitudes, ref.amplitudes)
 
-    lively = IntegratorConfig(dt=0.01, n_steps=50, kappa=1.0,
-                              gamma_override=4.0, energy_denominator=2.0)
-    rec2 = run_trajectory(state, lively, seed=11, finite_potential=TWO_LEVEL_DIAG,
-                          hamiltonian=ham)
+    lively = IntegratorConfig(dt=0.01, n_steps=50, kappa=1.0)
+    rec2 = run_trajectory(TWO_LEVEL, state, lively, seed=11)
     assert not np.array_equal(rec2.final_state.amplitudes, ref.amplitudes)
 
 
 def test_kappa_zero_is_bit_identical_to_reference_grid():
     basis, pair, state = _pair_system()
     cfg = IntegratorConfig(dt=0.005, n_steps=20, kappa=0.0)
-    rec = run_trajectory(state, cfg, pairs=(pair,), seed=3)
-    ref = run_schrodinger_reference(state, cfg, pairs=(pair,))
+    system = GridSystem(basis, (pair,))
+    rec = run_trajectory(system, state, cfg, seed=3)
+    ref = run_schrodinger_reference(system, state, cfg)
     assert np.array_equal(rec.final_state.amplitudes, ref.amplitudes)
 
 
@@ -293,7 +267,7 @@ def test_zero_gain_grid_run_skips_the_rate(monkeypatch):
     for kappa in (0.0, 1.0):
         calls.clear()
         cfg = IntegratorConfig(dt=0.005, n_steps=5, kappa=kappa, stop_on_absorb=False)
-        rec = run_trajectory(state, cfg, pairs=(pair,), seed=3)
+        rec = run_trajectory(GridSystem(basis, (pair,)), state, cfg, seed=3)
         assert rec.steps_taken == 5
         assert len(calls) == (rec.steps_taken if kappa > 0 else 0)
 
@@ -326,8 +300,7 @@ def test_finite_run_work_counts(monkeypatch):
                                (dict(n_steps=25, kappa=0.0), False)):
         del built[:], stepped[:], drawn[:]
         cfg = _two_level_config(**overrides)
-        rec = run_trajectory(_two_level(0.5), cfg, seed=1,
-                             finite_potential=TWO_LEVEL_DIAG)
+        rec = run_trajectory(TWO_LEVEL, _two_level(0.5), cfg, seed=1)
         assert (rec.outcome is not None) == absorbs
         assert (rec.steps_taken < cfg.n_steps) == absorbs
         assert len(built) == len(stepped) == rec.steps_taken
@@ -453,16 +426,14 @@ def test_one_step_conditional_mean_bias_is_second_order():
 
 
 def _two_level_config(**kw):
-    base = dict(dt=0.08, n_steps=400, gamma_override=4.0, energy_denominator=2.0,
-                kappa=1.0, absorb_threshold=0.05)
+    base = dict(dt=0.08, n_steps=400, kappa=1.0, absorb_threshold=0.05)
     base.update(kw)
     return IntegratorConfig(**base)
 
 
 def test_two_level_trajectory_absorbs_and_reports():
     cfg = _two_level_config()
-    rec = run_trajectory(_two_level(0.5), cfg, seed=1,
-                         finite_potential=TWO_LEVEL_DIAG)
+    rec = run_trajectory(TWO_LEVEL, _two_level(0.5), cfg, seed=1)
     assert rec.outcome in ("in", "out")
     assert rec.steps_taken < cfg.n_steps
     assert rec.times[0] == 0.0
@@ -474,8 +445,7 @@ def test_two_level_trajectory_absorbs_and_reports():
 
 def test_trajectory_weight_series_matches_step_count():
     cfg = _two_level_config(n_steps=30, absorb_threshold=1e-6)
-    rec = run_trajectory(_two_level(0.5), cfg, seed=4,
-                         finite_potential=TWO_LEVEL_DIAG)
+    rec = run_trajectory(TWO_LEVEL, _two_level(0.5), cfg, seed=4)
     # no absorption at this tight threshold: full run, one record per step
     assert rec.outcome is None
     assert rec.steps_taken == 30
@@ -483,12 +453,13 @@ def test_trajectory_weight_series_matches_step_count():
     assert rec.max_norm_drift < 0.5
 
 
-def _reference_trajectory(amp, values, cfg, seed):
+def _reference_trajectory(amp, system, cfg, seed):
     """The two-level loop written straight from the equations: centre V
     on the state, shift by 1 + D dxi - D^2 dt / 2, renormalise, and take
     the weight as the density where V - <V> > 0."""
     wiener = WienerProcess(seed, real_noise=cfg.real_noise)
-    scale = cfg.kappa * np.sqrt(cfg.gamma_override) / cfg.energy_denominator
+    values = np.asarray(system.diagonal)
+    scale = cfg.kappa * np.sqrt(system.gamma) / system.energy_denominator
     theta = cfg.absorb_threshold
 
     def centre(amp):
@@ -528,9 +499,9 @@ def test_two_level_run_matches_reference_loop(overrides):
     outcomes = set()
     for seed in range(5):
         state = _two_level(0.37, phase=0.4)
-        rec = run_trajectory(state, cfg, seed=seed, finite_potential=TWO_LEVEL_DIAG)
+        rec = run_trajectory(TWO_LEVEL, state, cfg, seed=seed)
         weights, norms, outcome, steps = _reference_trajectory(
-            state.amplitudes, TWO_LEVEL_DIAG, cfg, seed)
+            state.amplitudes, TWO_LEVEL, cfg, seed)
         assert np.array_equal(rec.weight_in, weights)
         assert np.array_equal(rec.norms_before_renormalize, norms)
         assert (rec.outcome, rec.steps_taken) == (outcome, steps)
@@ -545,8 +516,7 @@ def test_collapsed_two_level_state_keeps_its_branch_weight():
     # 2**-53 of the density, a one-pass V - <V> rounds to zero on the in
     # level and would put the whole state in the out branch
     cfg = _two_level_config(n_steps=400, stop_on_absorb=False)
-    rec = run_trajectory(_two_level(0.37, phase=0.4), cfg, seed=13,
-                         finite_potential=TWO_LEVEL_DIAG)
+    rec = run_trajectory(TWO_LEVEL, _two_level(0.37, phase=0.4), cfg, seed=13)
     dens = np.abs(rec.final_state.amplitudes) ** 2
     assert 0.0 < dens[1] < 2.0 ** -53 * dens[0]
     assert rec.weight_in[-1] == 1.0
@@ -554,10 +524,10 @@ def test_collapsed_two_level_state_keeps_its_branch_weight():
 
 def test_ensemble_is_deterministic_and_padded():
     cfg = _two_level_config(n_steps=120)
-    ens1 = run_ensemble(_two_level(0.5), cfg, n_trajectories=12, master_seed=10,
-                        finite_potential=TWO_LEVEL_DIAG)
-    ens2 = run_ensemble(_two_level(0.5), cfg, n_trajectories=12, master_seed=10,
-                        finite_potential=TWO_LEVEL_DIAG)
+    ens1 = run_ensemble(TWO_LEVEL, _two_level(0.5), cfg, n_trajectories=12,
+                        master_seed=10)
+    ens2 = run_ensemble(TWO_LEVEL, _two_level(0.5), cfg, n_trajectories=12,
+                        master_seed=10)
     assert np.array_equal(ens1.weight_in, ens2.weight_in)
     assert ens1.weight_in.shape == (12, 121)
     assert ens1.times.size == 121
@@ -572,25 +542,19 @@ def test_ensemble_is_deterministic_and_padded():
 def test_ensemble_mean_weight_is_martingale():
     cfg = _two_level_config(n_steps=150, dt=0.05)
     w0 = 0.3
-    ens = run_ensemble(_two_level(w0), cfg, n_trajectories=300, master_seed=77,
-                       finite_potential=TWO_LEVEL_DIAG)
+    ens = run_ensemble(TWO_LEVEL, _two_level(w0), cfg, n_trajectories=300,
+                       master_seed=77)
     final = ens.weight_in[:, -1]
     sem = final.std(ddof=1) / np.sqrt(final.size)
     assert abs(final.mean() - w0) < 4 * sem
     assert final.std() > 0.1  # weights really spread toward the edges
 
 
-def test_finite_collapse_requires_rate_parameters():
-    cfg = IntegratorConfig(dt=0.01, n_steps=5, gamma_override=None)
-    with pytest.raises(ValueError, match="gamma_override"):
-        run_trajectory(_two_level(0.5), cfg, finite_potential=TWO_LEVEL_DIAG)
-
-
 def test_grid_trajectory_records_observables():
     basis, pair, state = _pair_system(momenta=(0.6, -0.4))
     cfg = IntegratorConfig(dt=0.01, n_steps=30, kappa=1.0, record_every=10,
                            record_observables=("momentum", "kinetic", "energy"))
-    rec = run_trajectory(state, cfg, pairs=(pair,), seed=8)
+    rec = run_trajectory(GridSystem(basis, (pair,)), state, cfg, seed=8)
     assert rec.times.size == 4  # t=0 plus records at steps 10, 20, 30
     for name in ("momentum", "kinetic", "energy"):
         series = rec.expectations[name]
@@ -617,13 +581,13 @@ def test_energy_reuses_the_recorded_kinetic_field(monkeypatch, with_pair, scheme
 
     monkeypatch.setattr(operators_module, "derivative2", counting)
     basis, pair, state = _pair_system(momenta=(0.6, -0.4))
-    pairs = (pair,) if with_pair else ()
+    system = GridSystem(basis, (pair,) if with_pair else ())
     records = {}
     for names in (("energy",), ("kinetic", "energy"), ("energy", "kinetic")):
         calls.clear()
         cfg = IntegratorConfig(dt=0.002, n_steps=12, scheme=scheme, record_every=4,
                                stop_on_absorb=False, record_observables=names)
-        rec = run_trajectory(state, cfg, pairs=pairs, seed=8)
+        rec = run_trajectory(system, state, cfg, seed=8)
         n_records = rec.times.size
         assert len(calls) == n_records * basis.n_axes
         records[names] = rec
@@ -640,14 +604,13 @@ def test_unknown_observable_rejected():
     basis, pair, state = _pair_system()
     cfg = IntegratorConfig(dt=0.01, n_steps=2, record_observables=("spin",))
     with pytest.raises(ValueError, match="spin"):
-        run_trajectory(state, cfg, pairs=(pair,), seed=0)
+        run_trajectory(GridSystem(basis, (pair,)), state, cfg, seed=0)
 
 
 def test_run_ensemble_requires_positive_count():
     cfg = _two_level_config(n_steps=5)
     with pytest.raises(ValueError):
-        run_ensemble(_two_level(0.5), cfg, n_trajectories=0,
-                     finite_potential=TWO_LEVEL_DIAG)
+        run_ensemble(TWO_LEVEL, _two_level(0.5), cfg, n_trajectories=0)
 
 
 @pytest.mark.parametrize("potential", [GaussianWell(-2.0, 1.0),
@@ -674,7 +637,30 @@ def test_pair_geometry_is_computed_once_per_run(monkeypatch, potential):
         cfg = IntegratorConfig(dt=0.008, n_steps=n_steps, kappa=1.0, record_every=5,
                                stop_on_absorb=False,
                                record_observables=("momentum", "kinetic", "energy"))
-        rec = run_trajectory(state, cfg, pairs=(pair,), seed=2)
+        rec = run_trajectory(GridSystem(basis, (pair,)), state, cfg, seed=2)
         assert rec.steps_taken == n_steps
         counts.append(len(calls))
     assert 0 < counts[0] == counts[1]
+
+
+def test_system_does_not_pin_pair_fields(monkeypatch):
+    # a run builds its pair geometries and frees them on return; a system
+    # that kept them would hold every full-shape field between runs
+    alive = []
+    original = operators_module.PairGeometry.__init__
+
+    def recording(self, *args, **kwargs):
+        alive.append(weakref.ref(self))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(operators_module.PairGeometry, "__init__", recording)
+    basis, pair, state = _pair_system(momenta=(0.6, -0.4))
+    system = GridSystem(basis, (pair,))
+    cfg = IntegratorConfig(dt=0.005, n_steps=4, record_every=2, stop_on_absorb=False,
+                           record_observables=("momentum", "energy"))
+    for seed in (0, 1):
+        run_trajectory(system, state, cfg, seed=seed)
+    gc.collect()
+    assert len(alive) == 2
+    assert all(ref() is None for ref in alive)
+    assert system == GridSystem(basis, (pair,))
