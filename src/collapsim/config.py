@@ -43,7 +43,9 @@ __all__ = [
 # 4: the spectral split step applies per-axis propagator matrices; grid
 #    numbers move at rounding level
 # 5: a grid run's max_norm_drift covers every trajectory, not the first
-ARTIFACT_VERSION = 5
+# 6: two_level_collapse and conservation_suite drop the numerics keys
+#    their runs never read; only their config hashes move
+ARTIFACT_VERSION = 6
 
 SCENARIOS = (
     "free_packet",
@@ -105,10 +107,8 @@ def _catalog() -> dict:
             },
             "physics": {"kappa": 1.0},
             "numerics": {
-                "dt": 0.05, "n_steps": 600, "scheme": "split_step_spectral",
-                "record_every": 5, "absorb_threshold": 1e-3,
+                "dt": 0.05, "n_steps": 600, "record_every": 5, "absorb_threshold": 1e-3,
                 "stop_on_absorb": True, "renormalize": True, "real_noise": False,
-                "record_observables": [],
             },
             "ensemble": {"n_traj": 10000, "master_seed": 0},
             "output": dict(_COMMON_OUTPUT),
@@ -163,10 +163,9 @@ def _catalog() -> dict:
             },
             "initial": dict(scattering_initial),
             "numerics": {
-                "dt": 0.003, "n_steps": 40, "scheme": "split_step_spectral",
-                "record_every": 1, "absorb_threshold": 1e-3,
+                # the suite's runs set their own scheme and recording
+                "dt": 0.003, "n_steps": 40, "absorb_threshold": 1e-3,
                 "stop_on_absorb": False, "renormalize": True, "real_noise": False,
-                "record_observables": [],
             },
             "angular": {
                 # grazing collision; the impact offset keeps the angular
@@ -396,11 +395,6 @@ def _validate(cfg: RunConfig) -> None:
                 raise ConfigError("numerics.record_observables",
                                   "unknown observable %r; choose from %s"
                                   % (name, list(OBSERVABLES)))
-            if scenario not in _GRID_PARTICLES:
-                # a finite system has no Hamiltonian and records no observables
-                raise ConfigError("numerics.record_observables",
-                                  "a finite-basis run records no observables, got %r"
-                                  % (name,))
             if name in ("momentum_y", "angular_momentum") and basis.grid.dims < 2:
                 raise ConfigError("numerics.record_observables",
                                   "%r needs grid.dims >= 2" % (name,))
@@ -461,7 +455,7 @@ def _validate(cfg: RunConfig) -> None:
             _grid_basis(tree, 2, spectral["points_per_axis"], spectral["extent"])
             _spectral_well(spectral)
         # the suite steps with the stencil scheme on grids twice as fine
-        # as the configured ones, whatever numerics.scheme says
+        # as the configured ones
         for block, fine in (
                 ("numerics", cfg.grid_basis(2 * basis.grid.points_per_axis)),
                 ("angular", _grid_basis(tree, 2, 2 * angular["points_per_axis"],
@@ -480,9 +474,6 @@ class RunConfig:
 
     scenario: str
     data: dict
-
-    def serialize(self) -> str:
-        return json.dumps(self.data, sort_keys=True, indent=2) + "\n"
 
     def content_hash(self) -> str:
         canonical = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
@@ -584,22 +575,19 @@ class RunConfig:
         n_steps = int(block["n_steps"])
         return self.integrator_config(scheme="crank_nicolson_stencil",
                                       n_steps=n_steps, dt=float(block["dt"]),
-                                      record_every=n_steps,
-                                      record_observables=())
+                                      record_every=n_steps)
 
     def integrator_config(self, **overrides) -> IntegratorConfig:
-        num = dict(self.data["numerics"])
+        """The scenario's ``numerics`` keys and physics gain; ``overrides``
+        replace them, and a key neither gives keeps its default."""
         physics = self.data.get("physics", {})
-        kwargs = {
-            "dt": num["dt"], "n_steps": int(num["n_steps"]),
-            "scheme": num["scheme"], "kappa": physics.get("kappa", 1.0),
-            "c": physics.get("c", 1.0), "renormalize": num["renormalize"],
-            "real_noise": num["real_noise"],
-            "record_every": int(num["record_every"]),
-            "absorb_threshold": num["absorb_threshold"],
-            "stop_on_absorb": num["stop_on_absorb"],
-            "record_observables": tuple(num["record_observables"]),
-        }
+        kwargs = dict(self.data["numerics"], kappa=physics.get("kappa", 1.0),
+                      c=physics.get("c", 1.0))
+        for key in ("n_steps", "record_every"):
+            if key in kwargs:
+                kwargs[key] = int(kwargs[key])
+        if "record_observables" in kwargs:
+            kwargs["record_observables"] = tuple(kwargs["record_observables"])
         kwargs.update(overrides)
         return IntegratorConfig(**kwargs)
 

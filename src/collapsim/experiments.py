@@ -31,7 +31,6 @@ __all__ = [
     "EraserConfig",
     "EraserResult",
     "EraserSweep",
-    "sa_rotation",
     "kick_cross_probability",
     "eraser_run",
     "sweep_configs",
@@ -46,13 +45,6 @@ __all__ = [
 
 # joint branch labels, target then detector
 ERASER_LABELS = ("II", "IO", "OI", "OO")
-
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-
-
-def sa_rotation() -> np.ndarray:
-    """Amplitude map from the I/O product basis to the S/A product basis."""
-    return np.kron(_HADAMARD, _HADAMARD)
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,11 @@ import pytest
 from collapsim import collapse as collapse_module
 from collapsim.collapse import (
     CollapseOperator,
-    DegenerateProjectionError,
-    build_collapse_operator,
     characteristic_time,
     collapse_from_diagonal,
     collapse_sum,
-    interacting_component,
     rate_denominator,
-    rate_denominator_bound_state,
     rate_numerator,
-    rate_params,
     total_diagonal,
 )
 from collapsim.constants import EV, HBAR
@@ -83,46 +78,16 @@ def _unitary_step(amp, v, tsym, dt):
     return np.exp(-0.5j * dt * v) * amp
 
 
-# ---------------------------------------------------------------------------
-# interacting component
+def _numerator(psi, pair, scheme="spectral"):
+    return rate_numerator(psi, pair, scheme, PairGeometry(psi.basis, pair))
 
 
-def test_constant_potential_region_returns_state_itself():
-    basis = pair_basis()
-    pair = InteractionPair(0, 1, GaussianWell(1.0, 1e6))
-    psi = overlap_state(basis)
-    comp = interacting_component(psi, pair)
-    assert np.max(np.abs(comp.amplitudes - psi.amplitudes)) < 1e-9
-
-
-def test_interacting_component_matches_pointwise_quadrature():
-    basis = pair_basis()
-    pair = InteractionPair(0, 1, GaussianWell(-2.0, 1.0))
-    psi = overlap_state(basis)
-    comp = interacting_component(psi, pair)
-
-    _, v = _pair_fields(basis, -2.0, 1.0)
-    dens = np.abs(psi.amplitudes) ** 2
-    mean = (dens * v).sum() / dens.sum()
-    expected = (v / mean) * psi.amplitudes
-    assert np.max(np.abs(comp.amplitudes - expected)) < 1e-12
-
-
-def test_no_overlap_raises_degenerate():
-    # narrow packets, separation far outside the interaction range even
-    # through the periodic wrap
-    basis = pair_basis(extent=8.0)
-    pair = InteractionPair(0, 1, GaussianWell(-2.0, 0.5))
-    psi = normalize(gaussian_packet(basis, [-4.0, 4.0], [0.4, 0.4]))
-    with pytest.raises(DegenerateProjectionError):
-        interacting_component(psi, pair)
-
-
-def test_interacting_component_rejects_finite_basis():
-    psi = finite_state(FiniteBasis(("a", "b")), [1.0, 0.0])
-    pair = InteractionPair(0, 1, GaussianWell(1.0, 1.0))
-    with pytest.raises(TypeError):
-        interacting_component(psi, pair)
+def _denominator(psi, pair, scheme="spectral"):
+    # at the state's <V>, taken here
+    geometry = PairGeometry(psi.basis, pair)
+    dens = psi.density()
+    mean = (dens * geometry.values).sum() / dens.sum()
+    return rate_denominator(psi, pair, scheme, geometry, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +98,7 @@ def test_rate_numerator_constant_potential_vanishes():
     basis = pair_basis()
     pair = InteractionPair(0, 1, GaussianWell(1.5, 1e8))
     psi = overlap_state(basis, momenta=(1.0, -1.0))
-    assert rate_numerator(psi, pair) < 1e-12
+    assert _numerator(psi, pair) < 1e-12
 
 
 def test_rate_numerator_equals_energy_drain_rate():
@@ -144,7 +109,7 @@ def test_rate_numerator_equals_energy_drain_rate():
     pair = InteractionPair(0, 1, GaussianWell(strength, width))
     psi = normalize(gaussian_packet(
         basis, [-0.9, 0.9], [0.9, 0.9], [0.6, -0.4]))
-    num = rate_numerator(psi, pair, "spectral")
+    num = _numerator(psi, pair, "spectral")
 
     _, v = _pair_fields(basis, strength, width)
     dens = np.abs(psi.amplitudes) ** 2
@@ -182,8 +147,8 @@ def test_rate_numerator_stationary_state_small():
         amp /= np.sqrt((np.abs(amp) ** 2).sum() * basis.weight)
     ground = HilbertState(basis, amp)
     moving = overlap_state(basis, momenta=(0.8, -0.8))
-    floor = rate_numerator(ground, pair)
-    scale = rate_numerator(moving, pair)
+    floor = _numerator(ground, pair)
+    scale = _numerator(moving, pair)
     assert floor < 1e-4 * scale
 
 
@@ -196,7 +161,7 @@ def test_rate_denominator_positive_branch_quadrature():
     strength, width = 1.2, 0.8
     pair = InteractionPair(0, 1, GaussianWell(strength, width))
     psi = overlap_state(basis, sep=1.0, widths=(0.8, 0.8), momenta=(1.2, -0.6))
-    den = rate_denominator(psi, pair, "spectral")
+    den = _denominator(psi, pair, "spectral")
 
     # independent quadrature of the same functional
     _, v = _pair_fields(basis, strength, width)
@@ -228,8 +193,8 @@ def test_rate_denominator_scheme_cross_check():
     basis = pair_basis(n=128, extent=8.0)
     pair = InteractionPair(0, 1, GaussianWell(1.2, 0.8))
     psi = overlap_state(basis, sep=1.0, widths=(0.8, 0.8), momenta=(1.0, -1.0))
-    a = rate_denominator(psi, pair, "spectral")
-    b = rate_denominator(psi, pair, "stencil")
+    a = _denominator(psi, pair, "spectral")
+    b = _denominator(psi, pair, "stencil")
     assert a == pytest.approx(b, rel=0.05)
 
 
@@ -237,12 +202,11 @@ def test_rate_denominator_negative_branch_is_well_depth():
     basis = pair_basis()
     psi = overlap_state(basis)
     pair = InteractionPair(0, 1, GaussianWell(-2.0, 1.0))
-    assert rate_denominator(psi, pair) == 2.0
+    assert _denominator(psi, pair) == 2.0
     pair = InteractionPair(0, 1, SoftCoulomb(-3.0, 1.5))
-    assert rate_denominator(psi, pair) == 2.0
-    assert rate_denominator_bound_state(GaussianWell(-0.7, 2.0)) == 0.7
-    with pytest.raises(NotImplementedError):
-        rate_denominator_bound_state(GaussianWell(-1.0, 1.0), angular_momentum=1.0)
+    assert _denominator(psi, pair) == 2.0
+    pair = InteractionPair(0, 1, GaussianWell(-0.7, 2.0))
+    assert _denominator(psi, pair) == 0.7
 
 
 # ---------------------------------------------------------------------------
@@ -250,30 +214,31 @@ def test_rate_denominator_negative_branch_is_well_depth():
 
 
 def test_gamma_zero_when_degenerate():
+    # narrow packets, separation far outside the interaction range even
+    # through the periodic wrap
     basis = pair_basis(extent=8.0)
     pair = InteractionPair(0, 1, GaussianWell(-2.0, 0.5))
     psi = normalize(gaussian_packet(basis, [-4.0, 4.0], [0.4, 0.4]))
-    params = rate_params(psi, pair)
-    assert params.degenerate
-    assert params.gamma == 0.0
+    op, = collapse_sum(psi, [pair])
+    assert op.gamma == 0.0
+    assert np.all(op.scaled_values == 0.0)
 
 
 def test_gamma_positive_during_overlap():
     basis = pair_basis(n=128)
     pair = InteractionPair(0, 1, GaussianWell(-2.0, 1.0))
     psi = overlap_state(basis, momenta=(1.0, -1.0))
-    params = rate_params(psi, pair)
-    assert not params.degenerate
-    assert params.gamma > 0
-    assert params.gamma == pytest.approx(params.numerator / params.denominator)
+    op, = collapse_sum(psi, [pair])
+    assert op.gamma > 0
+    assert op.gamma == pytest.approx(_numerator(psi, pair) / _denominator(psi, pair))
 
 
 def test_gamma_independent_of_gain():
     basis = pair_basis(n=128)
     pair = InteractionPair(0, 1, GaussianWell(-2.0, 1.0))
     psi = overlap_state(basis, momenta=(1.0, -1.0))
-    op1 = build_collapse_operator(psi, pair, kappa=1.0, c=10.0)
-    op5 = build_collapse_operator(psi, pair, kappa=5.0, c=10.0)
+    op1, = collapse_sum(psi, [pair], kappa=1.0, c=10.0)
+    op5, = collapse_sum(psi, [pair], kappa=5.0, c=10.0)
     assert op1.gamma == op5.gamma
     assert np.allclose(op5.scaled_values, 5.0 * op1.scaled_values, rtol=1e-12, atol=0)
 
@@ -282,7 +247,7 @@ def test_collapse_operator_is_norm_centered():
     basis = pair_basis(n=128)
     pair = InteractionPair(0, 1, GaussianWell(-2.0, 1.0))
     psi = overlap_state(basis, momenta=(1.0, -1.0))
-    op = build_collapse_operator(psi, pair, kappa=1.0, c=10.0)
+    op, = collapse_sum(psi, [pair], kappa=1.0, c=10.0)
     dens = psi.density()
     mean = (dens * op.scaled_values).sum() / dens.sum()
     assert abs(mean) < 1e-10 * np.max(np.abs(op.scaled_values))
@@ -296,7 +261,8 @@ def test_zero_gain_gives_exactly_zero_diagonal():
     basis = pair_basis(n=64)
     pair = InteractionPair(0, 1, GaussianWell(-2.0, 1.0))
     psi = overlap_state(basis)
-    op = build_collapse_operator(psi, pair, kappa=0.0, c=10.0, gamma_value=1.0)
+    op, = collapse_sum(psi, [pair], kappa=0.0, c=10.0)
+    assert op.gamma == 0.0
     assert np.all(op.scaled_values == 0.0)
 
 
@@ -308,6 +274,13 @@ def test_two_level_centered_diagonal_frozen():
                                 energy_denominator=1.0, kappa=1.0)
     assert np.allclose(op.centered, [1.4, -0.6], atol=1e-12)
     assert np.allclose(op.scaled_values, [1.4, -0.6], atol=1e-12)
+
+
+def test_collapse_sum_rejects_finite_basis():
+    psi = finite_state(FiniteBasis(("a", "b")), [1.0, 0.0])
+    pair = InteractionPair(0, 1, GaussianWell(1.0, 1.0))
+    with pytest.raises(TypeError):
+        collapse_sum(psi, [pair])
 
 
 def test_collapse_sum_three_particles():
@@ -325,8 +298,8 @@ def test_collapse_sum_three_particles():
 
 
 def test_one_mean_potential_per_pair(monkeypatch):
-    # the centring, the rate numerator's overlap check and a repulsive
-    # pair's interacting component share one <V>
+    # the centring, the overlap check and a repulsive pair's rate
+    # denominator share one <V>
     calls = []
     original = collapse_module._mean_potential
 
@@ -344,7 +317,7 @@ def test_one_mean_potential_per_pair(monkeypatch):
     for pair in pairs:
         for geometry in (None, PairGeometry(basis, pair)):
             calls.clear()
-            op = build_collapse_operator(psi, pair, scheme="stencil", geometry=geometry)
+            op, = collapse_sum(psi, [pair], scheme="stencil", geometries=[geometry])
             assert op.gamma > 0.0
             assert len(calls) == 1
     calls.clear()

@@ -1,9 +1,13 @@
 """Config parsing: defaults, strict keys, canonical round trips."""
 
+import copy
+import dataclasses
 import json
+import sys
 
 import pytest
 
+from collapsim import cli
 from collapsim.cli import main
 from collapsim.config import (
     SCENARIOS,
@@ -11,7 +15,7 @@ from collapsim.config import (
     parse_config,
     parse_config_data,
 )
-from collapsim.integrator import OBSERVABLES
+from collapsim.integrator import OBSERVABLES, IntegratorConfig
 
 
 def test_scenario_required_and_known():
@@ -40,6 +44,11 @@ def test_user_values_override_defaults():
     assert cfg.data["numerics"]["dt"] == 0.001
     assert cfg.data["numerics"]["n_steps"] == 200   # untouched default
     assert cfg.n_traj == 7
+    # counts written as floats reach the integrator as ints
+    icfg = parse_config_data({"scenario": "two_level_collapse",
+                              "numerics": {"n_steps": 600.0, "record_every": 5.0}}
+                             ).integrator_config()
+    assert type(icfg.n_steps) is int and type(icfg.record_every) is int
 
 
 def test_unknown_key_names_exact_path():
@@ -250,7 +259,7 @@ def test_round_trip_is_identity_for_all_scenarios():
         data = {"scenario": scenario}
         data.update(overrides.get(scenario, {}))
         cfg = parse_config_data(data)
-        again = parse_config_data(json.loads(cfg.serialize()))
+        again = parse_config_data(json.loads(json.dumps(cfg.data, sort_keys=True)))
         assert again == cfg
         assert again.content_hash() == cfg.content_hash()
 
@@ -374,3 +383,67 @@ def test_nonfinite_tokens_in_config_file_exit_2(tmp_path, capsys):
     assert main(["run", str(inf_path)]) == 2
     assert "physics.potential.depth" in capsys.readouterr().err
     assert not (tmp_path / "art").exists()
+
+
+# small runs of every scenario whose catalog entry has a numerics section
+_SMALL_RUNS = {
+    "free_packet": {"numerics": {"n_steps": 3}},
+    "grid_scattering": {"numerics": {"n_steps": 3}},
+    "two_level_collapse": {"numerics": {"n_steps": 3}, "ensemble": {"n_traj": 2}},
+    "conservation_suite": {"numerics": {"n_steps": 2}, "grid": {"points_per_axis": 16},
+                           "angular": {"points_per_axis": 8, "n_steps": 2,
+                                       "spectral": {"points_per_axis": 16}}},
+}
+
+
+def _field_reads(monkeypatch, data) -> dict:
+    """Values of each ``IntegratorConfig`` field the scenario's runner
+    reads, outside the config's own validation."""
+    cfg = parse_config_data(data)
+    fields = {f.name for f in dataclasses.fields(IntegratorConfig)}
+    plain = object.__getattribute__
+    reads = {}
+
+    def recording(self, name):
+        value = plain(self, name)
+        if name in fields and sys._getframe(1).f_code.co_name != "__post_init__":
+            reads.setdefault(name, set()).add(value)
+        return value
+
+    with monkeypatch.context() as patch:
+        patch.setattr(IntegratorConfig, "__getattribute__", recording)
+        cli._RUNNERS[cfg.scenario](cfg)
+    return reads
+
+
+def _another(key, value):
+    if isinstance(value, bool):
+        return not value
+    if key == "scheme":
+        return ("split_step_spectral" if value == "crank_nicolson_stencil"
+                else "crank_nicolson_stencil")
+    if key == "record_observables":
+        return ["momentum"] if value != ["momentum"] else ["kinetic"]
+    if isinstance(value, int):
+        return value + 1
+    return value / 2
+
+
+def test_every_catalog_numerics_key_is_read_by_its_run(monkeypatch):
+    # changing any numerics key of a scenario changes what its run reads
+    # of the IntegratorConfig field of that name; a key the run ignores
+    # or overrides would validate and only move the config hash
+    with_numerics = [s for s in SCENARIOS
+                     if "numerics" in parse_config_data({"scenario": s}).data]
+    assert sorted(_SMALL_RUNS) == sorted(with_numerics)
+    fields = {f.name for f in dataclasses.fields(IntegratorConfig)}
+    for scenario, small in _SMALL_RUNS.items():
+        base = dict(copy.deepcopy(small), scenario=scenario)
+        numerics = parse_config_data(base).data["numerics"]
+        reads = _field_reads(monkeypatch, base)
+        for key, value in numerics.items():
+            assert key in fields, (scenario, key)
+            changed = copy.deepcopy(base)
+            changed["numerics"][key] = _another(key, value)
+            assert key in reads, (scenario, key)
+            assert _field_reads(monkeypatch, changed).get(key) != reads[key], (scenario, key)

@@ -14,13 +14,12 @@ from collapsim.experiments import (
     eraser_run,
     eraser_sweep,
     kick_cross_probability,
-    sa_rotation,
     thermal_estimate,
 )
 
 
 # ---------------------------------------------------------------------------
-# Configuration and basis change
+# Configuration
 
 
 def test_config_rejects_out_of_range_kick():
@@ -40,18 +39,6 @@ def test_config_rejects_unknown_mode_and_sign():
 def test_config_requires_normalized_branches():
     with pytest.raises(ValueError, match="normalized"):
         EraserConfig(epsilon=0.1, amplitudes=(0.9, 0.9))
-
-
-def test_rotation_is_unitary():
-    r = sa_rotation()
-    assert np.allclose(r @ r.T.conj(), np.eye(4), atol=1e-15)
-
-
-def test_correlated_state_is_rotation_fixed_point():
-    # equal-branch correlated amplitudes read identically in either
-    # basis, which is the exact rewriting behind the zero-kick case
-    amps = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-    assert np.max(np.abs(sa_rotation() @ amps - amps)) < 1e-15
 
 
 # ---------------------------------------------------------------------------

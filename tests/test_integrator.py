@@ -253,23 +253,29 @@ def test_kappa_zero_is_bit_identical_to_reference_grid():
 
 def test_zero_gain_grid_run_skips_the_rate(monkeypatch):
     # at kappa = 0 the rate scales nothing, so no step computes it;
-    # otherwise each step taken computes it once (the operator builder
-    # reaches the numerator through the private form that takes <V>)
+    # otherwise each step taken computes its numerator and its
+    # denominator once
     calls = []
-    original = collapse_module._rate_numerator
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(name):
+        original = getattr(collapse_module, name)
 
-    monkeypatch.setattr(collapse_module, "_rate_numerator", counting)
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("rate_numerator", "rate_denominator"):
+        monkeypatch.setattr(collapse_module, name, counting(name))
     basis, pair, state = _pair_system()
     for kappa in (0.0, 1.0):
         calls.clear()
         cfg = IntegratorConfig(dt=0.005, n_steps=5, kappa=kappa, stop_on_absorb=False)
         rec = run_trajectory(GridSystem(basis, (pair,)), state, cfg, seed=3)
         assert rec.steps_taken == 5
-        assert len(calls) == (rec.steps_taken if kappa > 0 else 0)
+        expected = rec.steps_taken if kappa > 0 else 0
+        assert calls.count("rate_numerator") == expected
+        assert calls.count("rate_denominator") == expected
 
 
 def test_finite_run_work_counts(monkeypatch):
