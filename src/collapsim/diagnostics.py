@@ -59,16 +59,46 @@ def proportionality_mismatch_field(state: HilbertState, collapse_ops, increment,
     commutator pieces:
 
         psi* [Q, D] psi dxi + psi* (D Q D - {Q, D^2}/2) psi dt
+
+    The field is evaluated product by product into buffers made here,
+    each in the operand order of the one expression
+
+        conj(psi) * (Q(D psi) - D * Q psi) * dxi
+        + conj(psi) * (D * Q(D psi) - 0.5 * D * D * Q psi
+                       - 0.5 * Q(D * D * psi)) * dt
+
+    (its 0.5 * Q(...) as Q(...) * 0.5, NumPy's order for a large
+    temporary), so the two agree bit for bit. With the grid observables
+    at most five state-sized arrays are alive at once.
     """
     amp = state.amplitudes
     diag = total_diagonal(collapse_ops)
-    q_amp = q_op.apply(amp)
+    # an apply result may be its own argument (the identity returns it), so
+    # the only results written into are those whose argument was made here;
+    # amp, q_amp and diag (an operator's own field) are never written
     q_d_amp = q_op.apply(diag * amp)
-    stoch = np.conj(amp) * (q_d_amp - diag * q_amp) * increment
-    drift = np.conj(amp) * (diag * q_d_amp
-                            - 0.5 * diag * diag * q_amp
-                            - 0.5 * q_op.apply(diag * diag * amp)) * dt
-    return stoch + drift
+    q_amp = q_op.apply(amp)
+    stoch = np.multiply(diag, q_amp)
+    np.subtract(q_d_amp, stoch, out=stoch)
+    drift = np.multiply(diag, q_d_amp, out=q_d_amp)
+    diag_sq = np.multiply(0.5, diag)
+    np.multiply(diag_sq, diag, out=diag_sq)
+    work = np.multiply(diag_sq, q_amp)
+    del q_amp
+    np.subtract(drift, work, out=drift)
+    np.multiply(diag, diag, out=diag_sq)
+    np.multiply(diag_sq, amp, out=work)
+    del diag_sq
+    q_sq = q_op.apply(work)
+    del work
+    np.multiply(q_sq, 0.5, out=q_sq)
+    np.subtract(drift, q_sq, out=drift)
+    conj = np.conjugate(amp, out=q_sq)
+    np.multiply(conj, stoch, out=stoch)
+    np.multiply(stoch, increment, out=stoch)
+    np.multiply(conj, drift, out=drift)
+    np.multiply(drift, dt, out=drift)
+    return np.add(stoch, drift, out=stoch)
 
 
 def pointwise_proportionality_check(state: HilbertState, collapse_ops, increment,

@@ -229,6 +229,8 @@ class KineticOperator(LinearOperator):
             d = derivative2(amplitudes, axis, h, self.scheme)
             d /= -2.0 * self.basis.axis_mass(axis)
             out += d
+            # free it before the next axis allocates its own
+            del d
         return out
 
 
@@ -274,9 +276,12 @@ class AngularMomentumZOperator(LinearOperator):
             d = derivative1(amplitudes, ax_y, h, self.scheme)
             d *= x
             out += d
+            # free each derivative before the next one is allocated
+            del d
             d = derivative1(amplitudes, ax_x, h, self.scheme)
             d *= y
             out -= d
+            del d
         out *= -1j
         return out
 

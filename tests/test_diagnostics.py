@@ -7,6 +7,8 @@ around the measured values.
 """
 
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,21 +101,58 @@ def test_kinetic_energy_does_not_commute():
     assert res > 1e-4
 
 
-def test_angular_momentum_mismatch_spectral_2d():
-    # rotation-invariant pair potential commutes with total L_z; the
-    # spectral residual on this well-resolved state measured 2.06e-11
-    grid = GridSpec(dims=2, points_per_axis=32, extent=5.0)
+def _planar_collision(n):
+    grid = GridSpec(dims=2, points_per_axis=n, extent=5.0)
     basis = GridBasis(grid, (ParticleSpec(1.0), ParticleSpec(1.4)))
     pairs = [InteractionPair(0, 1, GaussianWell(-1.5, 1.2))]
     state = normalize(gaussian_packet(basis,
                                       centers=(-0.6, 0.0, 0.6, 0.0),
                                       widths=(0.55,) * 4,
                                       momenta=(0.5, 0.0, -0.5, 0.0)))
-    ops = collapse_sum(state, pairs, scheme="spectral")
+    return basis, state, collapse_sum(state, pairs, scheme="spectral")
+
+
+def test_angular_momentum_mismatch_spectral_2d():
+    # rotation-invariant pair potential commutes with total L_z; the
+    # spectral residual on this well-resolved state measured 2.06e-11
+    basis, state, ops = _planar_collision(32)
     assert ops[0].gamma > 0.05
     lz = AngularMomentumZOperator(basis, scheme="spectral")
     res = pointwise_proportionality_check(state, ops, INCREMENT, lz, DT)
     assert res < 1e-10
+
+
+def _traced_peak(call):
+    """Peak bytes that ``call`` allocates above what is allocated before it."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_identity_check_holds_few_state_sized_arrays():
+    # at 32^4 the spectral check sets the conservation suite's peak
+    # memory; the field's buffers and the observable's hold five
+    # state-sized arrays at once, an apply two (its output and one
+    # per-axis derivative)
+    basis, state, ops = _planar_collision(16)
+    amp = state.amplitudes
+    observables = (AngularMomentumZOperator(basis, scheme="spectral"),
+                   KineticOperator(basis, scheme="spectral"),
+                   MomentumOperator(basis, scheme="spectral"))
+    for q_op in observables:
+        assert _traced_peak(lambda: q_op.apply(amp)) <= 2.5 * amp.nbytes, type(q_op).__name__
+    lz = observables[0]
+    peak = _traced_peak(lambda: pointwise_proportionality_check(state, ops, INCREMENT, lz, DT))
+    assert peak <= 6.5 * amp.nbytes
 
 
 # ---------------------------------------------------------------------------

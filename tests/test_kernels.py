@@ -17,23 +17,37 @@ written here: the spectral split step, which applies one matrix per
 axis, to a tolerance; the Crank-Nicolson step, which keeps its
 transforms, bit for bit. A collapse operator equals the one assembled
 here from the public rate functions at a <V> taken here.
+
+The identity check's mismatch field, which the library evaluates into
+buffers of its own, equals the one-expression form written here bit for
+bit, on grids above and below the size (256 KiB) from which NumPy
+evaluates ``x * (temporary)`` in place as ``temporary *= x``; neither
+form may write into the state or the collapse operators.
 """
 
 import numpy as np
 import pytest
 
+from collapsim import diagnostics
 from collapsim.collapse import (
     collapse_from_diagonal,
     collapse_sum,
     rate_denominator,
     rate_numerator,
+    total_diagonal,
 )
-from collapsim.diagnostics import energy_deviation_terms
+from collapsim.diagnostics import (
+    energy_deviation_terms,
+    identity_residual,
+    pointwise_proportionality_check,
+    proportionality_mismatch_field,
+)
 from collapsim.integrator import SCHEMES as STEP_SCHEMES
-from collapsim.integrator import UnitaryStepper
+from collapsim.integrator import GridSystem, IntegratorConfig, UnitaryStepper
 from collapsim.operators import (
     AngularMomentumZOperator,
     GaussianWell,
+    IdentityOperator,
     InteractionPair,
     KineticOperator,
     MomentumOperator,
@@ -65,8 +79,8 @@ def _reference_derivative(arr, axis, spacing, scheme, order=1):
     return np.fft.ifft(symbol.reshape(shape) * np.fft.fft(arr, axis=axis), axis=axis)
 
 
-def _planar_pair():
-    basis = GridBasis(GridSpec(2, 16, 4.5), (ParticleSpec(1.0), ParticleSpec(1.5)))
+def _planar_pair(n=16):
+    basis = GridBasis(GridSpec(2, n, 4.5), (ParticleSpec(1.0), ParticleSpec(1.5)))
     state = normalize(gaussian_packet(basis, [-0.7, -0.35, 0.7, 0.35], [1.0] * 4,
                                       [0.6, 0.0, -0.6, 0.0]))
     return basis, state, [InteractionPair(0, 1, GaussianWell(-2.0, 1.0))]
@@ -138,17 +152,22 @@ def _reference_apply(op, amp):
     return -1j * out
 
 
-@pytest.mark.parametrize("scheme", ["spectral", "stencil"])
-@pytest.mark.parametrize("name", ["line"] + sorted(SYSTEMS))
-def test_operator_sums_equal_the_accumulated_terms(name, scheme):
-    basis = _basis(name)
+def _observables(basis, scheme):
+    """Every grid observable of ``basis`` in ``scheme``."""
     ops = [KineticOperator(basis, scheme)]
     ops += [MomentumOperator(basis, dim, scheme) for dim in range(basis.grid.dims)]
     if basis.grid.dims >= 2:
         ops.append(AngularMomentumZOperator(basis, scheme))
+    return ops
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "stencil"])
+@pytest.mark.parametrize("name", ["line"] + sorted(SYSTEMS))
+def test_operator_sums_equal_the_accumulated_terms(name, scheme):
+    basis = _basis(name)
     for amp in _white_noise(basis, 5):
         before = amp.copy()
-        for op in ops:
+        for op in _observables(basis, scheme):
             got = op.apply(amp)
             assert got.dtype == np.complex128
             assert np.array_equal(got, _reference_apply(op, amp)), type(op).__name__
@@ -367,3 +386,87 @@ def test_collapse_operator_equals_the_public_rate_form(name, scheme):
         scaled = (kappa * np.sqrt(gamma) / e_den) * (v - mean)
         assert op.gamma == gamma
         assert np.array_equal(op.scaled_values, scaled)
+
+
+# the identity check's mismatch field against its one-expression form
+
+def _reference_mismatch_field(state, collapse_ops, increment, q_op, dt):
+    amp = state.amplitudes
+    diag = total_diagonal(collapse_ops)
+    q_amp = q_op.apply(amp)
+    q_d_amp = q_op.apply(diag * amp)
+    stoch = np.conj(amp) * (q_d_amp - diag * q_amp) * increment
+    drift = np.conj(amp) * (diag * q_d_amp
+                            - 0.5 * diag * diag * q_amp
+                            - 0.5 * q_op.apply(diag * diag * amp)) * dt
+    return stoch + drift
+
+
+# 16^4 complex is 1 MiB, above NumPy's 256 KiB threshold for evaluating
+# a temporary in place; 8^4 (64 KiB) is below it. The line of three has
+# two pairs on a 16^3 grid, each pair's field broadcast over the third axis.
+MISMATCH_SYSTEMS = {
+    "planar_pair_16": _planar_pair,
+    "planar_pair_8": lambda: _planar_pair(8),
+    "three_in_a_line": _three_in_a_line,
+}
+MISMATCH_INCREMENT = complex(0.021, -0.013)
+MISMATCH_DT = 1e-3
+
+
+class _SchemedIdentity(IdentityOperator):
+    # identity_residual differentiates with its observable's scheme; the
+    # identity returns its argument itself, so a write into an apply
+    # result would reach the state or a buffer still in use
+
+    def __init__(self, scheme):
+        self.scheme = scheme
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint8).tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "stencil"])
+@pytest.mark.parametrize("name", sorted(MISMATCH_SYSTEMS))
+def test_mismatch_field_equals_the_one_expression(name, scheme):
+    _, state, pairs = MISMATCH_SYSTEMS[name]()
+    ops = collapse_sum(state, pairs, kappa=1.3, c=2.0, scheme=scheme)
+    for q_op in _observables(state.basis, scheme) + [IdentityOperator()]:
+        for increment in (MISMATCH_INCREMENT, 0.0):
+            got = proportionality_mismatch_field(state, ops, increment, q_op, MISMATCH_DT)
+            ref = _reference_mismatch_field(state, ops, increment, q_op, MISMATCH_DT)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got.view(np.float64), ref.view(np.float64)), \
+                (type(q_op).__name__, increment)
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "stencil"])
+@pytest.mark.parametrize("name", sorted(MISMATCH_SYSTEMS))
+def test_identity_check_writes_no_input(name, scheme, monkeypatch):
+    _, state, pairs = MISMATCH_SYSTEMS[name]()
+    system = GridSystem(state.basis, tuple(pairs))
+    config = IntegratorConfig(dt=MISMATCH_DT, n_steps=1, kappa=1.3, c=2.0)
+    # one pair: the summed diagonal is that operator's own scaled field
+    ops = collapse_sum(state, pairs[:1], kappa=1.3, c=2.0, scheme=scheme)
+    assert total_diagonal(ops) is ops[0].scaled_values
+    built = []
+
+    def keep(made):
+        built.extend((op, _bits(op.scaled_values), _bits(op.centered)) for op in made)
+        return made
+
+    keep(ops)
+    monkeypatch.setattr(diagnostics, "collapse_sum",
+                        lambda *args, **kwargs: keep(collapse_sum(*args, **kwargs)))
+    state_bits = _bits(state.amplitudes)
+    observables = _observables(state.basis, scheme) + [_SchemedIdentity(scheme)]
+    for q_op in observables:
+        proportionality_mismatch_field(state, ops, MISMATCH_INCREMENT, q_op, MISMATCH_DT)
+        pointwise_proportionality_check(state, ops, MISMATCH_INCREMENT, q_op, MISMATCH_DT)
+        identity_residual(system, state, q_op, config)
+    assert len(built) == len(ops) + len(observables) * len(pairs)
+    assert _bits(state.amplitudes) == state_bits
+    for op, scaled_bits, centered_bits in built:
+        assert _bits(op.scaled_values) == scaled_bits
+        assert _bits(op.centered) == centered_bits
