@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .operators import InteractionPair, PairGeometry, derivative1
-from .state import GridBasis, HilbertState, normalize
+from .state import GridBasis, HilbertState, _density_mean, normalize
 
 __all__ = [
     "CollapseOperator",
@@ -43,14 +43,6 @@ __all__ = [
 # relative threshold on <V> below which the interaction-weighted
 # projection is treated as nonexistent
 DEGENERATE_RTOL = 1e-14
-
-
-def _mean_potential(state: HilbertState, values) -> float:
-    dens = state.density()
-    total = dens.sum() * state.basis.weight
-    if total == 0.0:
-        raise ValueError("zero state")
-    return float((dens * values).sum() * state.basis.weight / total)
 
 
 def rate_numerator(state: HilbertState, pair: InteractionPair, scheme: str,
@@ -170,7 +162,7 @@ def collapse_from_diagonal(state, values, gamma_value, energy_denominator,
                            kappa=1.0) -> CollapseOperator:
     """Finite-basis construction from explicit diagonal interaction values."""
     values = np.asarray(values, dtype=float)
-    centered = values - _mean_potential(state, values)
+    centered = values - _density_mean(state, values)[2]
     return CollapseOperator(centered, gamma_value, energy_denominator, kappa)
 
 
@@ -192,7 +184,7 @@ def collapse_sum(state, pairs, kappa=1.0, c=1.0, scheme="spectral",
     ops = []
     for pair, geometry in zip(pairs, geometries, strict=True):
         fields = geometry if geometry is not None else PairGeometry(basis, pair)
-        mean = _mean_potential(state, fields.values)
+        mean = _density_mean(state, fields.values)[2]
         centered = fields.values - mean
         gamma = 0.0
         if kappa and not abs(mean) <= DEGENERATE_RTOL * pair.potential.max_magnitude():

@@ -45,7 +45,9 @@ __all__ = [
 # 5: a grid run's max_norm_drift covers every trajectory, not the first
 # 6: two_level_collapse and conservation_suite drop the numerics keys
 #    their runs never read; only their config hashes move
-ARTIFACT_VERSION = 6
+# 7: a two-level ensemble's times follow the record clock of its config,
+#    not the longest trajectory's own (possibly unrecorded) last time
+ARTIFACT_VERSION = 7
 
 SCENARIOS = (
     "free_packet",

@@ -233,18 +233,17 @@ class EnergyDeviationTerms:
         return self.gradient_term + self.laplacian_term
 
 
-def _diagonal_derivative_fields(basis: GridBasis, collapse_ops, scheme: str):
+def _diagonal_derivative_fields(basis: GridBasis, collapse_ops):
     """Per-axis first derivatives of the full collapse diagonal, and the
     (coefficient, field) pairs whose weighted sum is its per-axis-mass
     weighted second derivative sum.
 
     An axis no operator reaches has no first-derivative field (None).
-    Operators carrying their interaction pair use the closed-form
-    potential derivatives (exact, no ringing at the wrap seam), read
-    from the operator's pair geometry when it kept one; bare diagonals
-    fall back to numerical differentiation.
+    The derivatives are the closed-form potential derivatives of each
+    operator's interaction pair (exact, no ringing at the wrap seam),
+    read from the operator's pair geometry when it kept one. An operator
+    without a pair has nothing to differentiate and is rejected.
     """
-    h = basis.grid.spacing
     grads = [None] * basis.n_axes
     laplacians = []
 
@@ -252,24 +251,20 @@ def _diagonal_derivative_fields(basis: GridBasis, collapse_ops, scheme: str):
         grads[axis] = field if grads[axis] is None else grads[axis] + field
 
     for op in collapse_ops:
-        if op.pair is not None:
-            pair = op.pair
-            factor = op.kappa * np.sqrt(op.gamma) / op.energy_denominator
-            geometry = op.geometry if op.geometry is not None else PairGeometry(basis, pair)
-            for d, grad in enumerate(geometry.gradient):
-                field = factor * grad
-                add(basis.particle_axis(pair.j, d), field)
-                # grad_k V = -grad_j V exactly
-                add(basis.particle_axis(pair.k, d), -field)
-            mj = basis.particles[pair.j].mass
-            mk = basis.particles[pair.k].mass
-            laplacians.append((factor * (0.5 / mj + 0.5 / mk), geometry.laplacian))
-        else:
-            for axis in range(basis.n_axes):
-                first = derivative1(op.scaled_values, axis, h, scheme).real
-                add(axis, first)
-                laplacians.append((1.0 / (2.0 * basis.axis_mass(axis)),
-                                   derivative1(first, axis, h, scheme).real))
+        pair = op.pair
+        if pair is None:
+            raise ValueError("energy deviation terms need collapse operators "
+                             "built from an interaction pair")
+        factor = op.kappa * np.sqrt(op.gamma) / op.energy_denominator
+        geometry = op.geometry if op.geometry is not None else PairGeometry(basis, pair)
+        for d, grad in enumerate(geometry.gradient):
+            field = factor * grad
+            add(basis.particle_axis(pair.j, d), field)
+            # grad_k V = -grad_j V exactly
+            add(basis.particle_axis(pair.k, d), -field)
+        mj = basis.particles[pair.j].mass
+        mk = basis.particles[pair.k].mass
+        laplacians.append((factor * (0.5 / mj + 0.5 / mk), geometry.laplacian))
     return grads, laplacians
 
 
@@ -278,7 +273,8 @@ def energy_deviation_terms(state: HilbertState, collapse_ops,
     """Term-level decomposition of the kinetic deviation coefficients.
 
     Masses enter per particle. Derivatives of the state use ``scheme``;
-    derivatives of the diagonal are analytic for pair-built operators.
+    derivatives of the diagonal are analytic, so every operator must
+    carry its interaction pair (``ValueError`` otherwise).
     With G_a the derivative of the summed diagonal along axis a, the
     terms are the inner products sum_a (-1/m_a) <G_a psi|d_a psi>,
     -<psi|sum_a d_a^2 D / (2 m_a)|psi> and sum_a (1/2m_a) ||G_a psi||^2,
@@ -291,7 +287,7 @@ def energy_deviation_terms(state: HilbertState, collapse_ops,
     norm_sq = float(np.vdot(amp, amp).real)
     if norm_sq == 0.0:
         raise ValueError("cannot analyze a zero state")
-    grads, laplacians = _diagonal_derivative_fields(basis, collapse_ops, scheme)
+    grads, laplacians = _diagonal_derivative_fields(basis, collapse_ops)
     h = basis.grid.spacing
 
     gradient_term = 0.0 + 0.0j

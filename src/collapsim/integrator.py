@@ -15,7 +15,9 @@ the bare unitary flow.
 
 Every run steps one system: a ``GridSystem`` (a grid basis and its
 pairs) or a ``FiniteSystem`` (a labelled basis with an explicit
-diagonal, rate and energy), which has no unitary sub-step.
+diagonal, rate and energy), which has no unitary sub-step. A grid run
+sums its pairs' potential values once; that one field enters the
+unitary sub-step and, next to the kinetic field, the recorded energy.
 
 The grid's unitary sub-step is either a Strang-split spectral propagator
 (exact free kinetic phase) or a Crank-Nicolson update of the
@@ -39,14 +41,10 @@ from .noise import WienerProcess
 from .operators import (
     AngularMomentumZOperator,
     KineticOperator,
-    LinearOperator,
     MomentumOperator,
     PairGeometry,
-    SumOperator,
     _apply_along_axis,
     _free_propagator,
-    _pair_potential,
-    hamiltonian_operator,
     kinetic_symbol,
 )
 from .state import (
@@ -61,7 +59,6 @@ __all__ = [
     "FiniteSystem",
     "IntegratorConfig",
     "UnitaryStepper",
-    "StepDiagnostics",
     "DensityChange",
     "TrajectoryRecord",
     "EnsembleResult",
@@ -185,14 +182,14 @@ class IntegratorConfig:
 class UnitaryStepper:
     """Cached one-step propagator of a grid run's deterministic sub-step.
 
-    The pair potentials come from ``geometries`` (one ``PairGeometry``
-    per pair) when given, else they are computed here. The split step
-    holds one read-only free propagator matrix per axis; the
-    Crank-Nicolson step holds its full-shape Cayley phase.
+    ``potential`` is the summed pair potential, broadcastable over the
+    basis, or None for free particles. The split step holds one
+    read-only free propagator matrix per axis; the Crank-Nicolson step
+    holds its full-shape Cayley phase.
     """
 
     def __init__(self, basis: GridBasis, dt: float, scheme: str = "split_step_spectral",
-                 pairs: tuple = (), geometries=None):
+                 potential: np.ndarray | None = None):
         if scheme == "split_step_spectral":
             n, h = basis.grid.points_per_axis, basis.grid.spacing
             self._axis_propagators = tuple(
@@ -206,11 +203,8 @@ class UnitaryStepper:
             half = 0.5j * dt * kinetic_symbol(basis, scheme=SCHEMES[scheme])
             self._kinetic_phase = (1.0 - half) / (1.0 + half)
             self._axis_propagators = None
-        if pairs:
-            v_total = _pair_potential(basis, pairs, geometries)
-            self._half_potential_phase = np.exp(-0.5j * dt * v_total)
-        else:
-            self._half_potential_phase = None
+        self._half_potential_phase = (None if potential is None
+                                      else np.exp(-0.5j * dt * potential))
 
     def _kinetic(self, amplitudes):
         if self._axis_propagators is None:
@@ -224,12 +218,6 @@ class UnitaryStepper:
             return self._kinetic(amplitudes)
         amp = self._kinetic(self._half_potential_phase * amplitudes)
         return self._half_potential_phase * amp
-
-
-@dataclass(frozen=True)
-class StepDiagnostics:
-    norm_before_renormalize: float
-    shift_applied: bool
 
 
 @dataclass(frozen=True)
@@ -251,7 +239,8 @@ class DensityChange:
 
 def ito_step(state: HilbertState, collapse_ops, increment: complex,
              config: IntegratorConfig, stepper: UnitaryStepper | None = None):
-    """One full step; returns the new state plus StepDiagnostics.
+    """One full step; returns the new state and its norm before
+    renormalization.
 
     The shift uses the summed diagonal of ``collapse_ops``; with none
     given it is skipped. With ``config.renormalize`` a
@@ -270,18 +259,17 @@ def ito_step(state: HilbertState, collapse_ops, increment: complex,
             raise FloatingPointError(
                 f"state norm became {norm_pre!r} during a step")
         amp = amp / norm_pre
-    new = HilbertState(state.basis, amp, state.time + config.dt)
-    return new, StepDiagnostics(norm_before_renormalize=norm_pre,
-                                shift_applied=bool(collapse_ops))
+    return HilbertState(state.basis, amp, state.time + config.dt), norm_pre
 
 
 def density_change_decomposition(state: HilbertState, collapse_ops, increment: complex,
                                  config: IntegratorConfig,
-                                 hamiltonian: LinearOperator | None = None) -> DensityChange:
+                                 hamiltonian=None) -> DensityChange:
     """Split the leading-order density change into transport and shift parts.
 
     Evaluated at the step's starting state, matching the Ito convention
-    of ``ito_step``. Both returned fields carry the basis weight of the
+    of ``ito_step``. ``hamiltonian`` is any operator with an ``apply``
+    method. Both returned fields carry the basis weight of the
     state's own quadrature, i.e. summing ``field * weight`` integrates.
     """
     amp = state.amplitudes
@@ -320,9 +308,11 @@ class TrajectoryRecord:
         return float(np.max(np.abs(self.norms_before_renormalize - 1.0)))
 
 
-def _build_observables(system, config, geometries):
+def _build_observables(basis, config):
+    """Recorded operators by name; the energy's is the kinetic operator,
+    to which the recorder adds the run's potential diagonal."""
     ops = {}
-    basis, scheme = system.basis, config.derivative_scheme
+    scheme = config.derivative_scheme
     for name in config.record_observables:
         if name not in OBSERVABLES:
             raise ValueError(f"unknown observable {name!r}, expected one of {OBSERVABLES}")
@@ -332,38 +322,25 @@ def _build_observables(system, config, geometries):
             ops[name] = MomentumOperator(basis, dim=1, scheme=scheme)
         elif name == "angular_momentum":
             ops[name] = AngularMomentumZOperator(basis, scheme=scheme)
-        elif name == "kinetic":
-            ops[name] = KineticOperator(basis, scheme=scheme)
         else:
-            ops[name] = hamiltonian_operator(basis, system.pairs, scheme=scheme,
-                                             geometries=geometries)
+            ops[name] = KineticOperator(basis, scheme=scheme)
     return ops
 
 
-def _observable_fields(observables, amp):
+def _observable_fields(observables, potential, amp):
     """Each observable applied to ``amp``, by name.
 
-    When the kinetic term is recorded too, the energy reuses its field:
-    the grid Hamiltonian is the kinetic operator, plus the potential
-    diagonal when there are pairs, so ``kinetic + V amp`` adds the same
-    terms in the same order as applying the Hamiltonian.
+    The energy field is the kinetic field, the recorded one when
+    "kinetic" is recorded too, plus ``potential * amp`` when the run
+    has pairs.
     """
     fields = {name: op.apply(amp) for name, op in observables.items()
               if name != "energy"}
-    energy = observables.get("energy")
-    kinetic = fields.get("kinetic")
-    if energy is None:
-        return fields
-    if kinetic is None:
-        fields["energy"] = energy.apply(amp)
-    elif isinstance(energy, SumOperator):
-        out = kinetic
-        for op in energy.ops[1:]:
-            out = out + op.apply(amp)
-        fields["energy"] = out
-    else:
-        # no pairs: the Hamiltonian is the kinetic operator itself
-        fields["energy"] = kinetic
+    if "energy" in observables:
+        kinetic = fields.get("kinetic")
+        if kinetic is None:
+            kinetic = observables["energy"].apply(amp)
+        fields["energy"] = kinetic if potential is None else kinetic + potential * amp
     return fields
 
 
@@ -386,13 +363,15 @@ def _ops_split(state, ops):
 
 
 def _setup(system, config):
-    """Unitary stepper, recorded observables and per-step collapse
-    operator builder of one run of ``system``.
+    """Unitary stepper, summed pair potential, recorded observables and
+    per-step collapse operator builder of one run of ``system``.
 
-    A grid run builds one ``PairGeometry`` per pair here, shared by the
-    stepper, the energy observable and the builder, and freed with them
-    when the run returns. A finite run has no unitary sub-step and no
-    observables, and reuses the system's diagonal with its rate.
+    A grid run builds one ``PairGeometry`` per pair here for the
+    builder, and sums their potential values once for the stepper and
+    the recorded energy; all are freed when the run returns. The sum is
+    None without pairs, and with one pair it is that geometry's own
+    ``values``. A finite run has no unitary sub-step, no potential and
+    no observables, and reuses the system's diagonal with its rate.
     """
     if isinstance(system, FiniteSystem):
         if config.record_observables:
@@ -403,19 +382,21 @@ def _setup(system, config):
             return [collapse_from_diagonal(state, system.values, gamma_value=system.gamma,
                                            energy_denominator=system.energy_denominator,
                                            kappa=config.kappa)]
-        return None, {}, collapse_ops
+        return None, None, {}, collapse_ops
 
     basis, pairs = system.basis, system.pairs
     config.validate_grid(basis)
     geometries = tuple(PairGeometry(basis, pair) for pair in pairs)
-    stepper = UnitaryStepper(basis, config.dt, scheme=config.scheme, pairs=pairs,
-                             geometries=geometries)
-    observables = _build_observables(system, config, geometries)
+    potential = None
+    for geometry in geometries:
+        potential = geometry.values if potential is None else potential + geometry.values
+    stepper = UnitaryStepper(basis, config.dt, config.scheme, potential)
+    observables = _build_observables(basis, config)
 
     def collapse_ops(state):
         return collapse_sum(state, pairs, kappa=config.kappa, c=config.c,
                             scheme=config.derivative_scheme, geometries=geometries)
-    return stepper, observables, collapse_ops
+    return stepper, potential, observables, collapse_ops
 
 
 def run_trajectory(system: GridSystem | FiniteSystem, initial: HilbertState,
@@ -433,7 +414,7 @@ def run_trajectory(system: GridSystem | FiniteSystem, initial: HilbertState,
     ``per_step(step_index, state, ops, increment)`` is invoked before
     each step for callers that accumulate extra diagnostics.
     """
-    stepper, observables, collapse_ops = _setup(system, config)
+    stepper, potential, observables, collapse_ops = _setup(system, config)
     wiener = WienerProcess(seed, real_noise=config.real_noise)
 
     state = initial
@@ -460,7 +441,7 @@ def run_trajectory(system: GridSystem | FiniteSystem, initial: HilbertState,
         # raises peak RSS of a 16^4 run by 1 MiB
         del dens
         total = np.vdot(amp, amp).real
-        fields = _observable_fields(observables, amp)
+        fields = _observable_fields(observables, potential, amp)
         for name in observables:
             applied = fields[name]
             # every supported observable is hermitian: record the real part
@@ -481,9 +462,9 @@ def run_trajectory(system: GridSystem | FiniteSystem, initial: HilbertState,
         increment = wiener.increment(config.dt) if shifting else 0.0
         if per_step is not None:
             per_step(step, state, ops, increment)
-        state, diag = ito_step(state, ops if shifting else (), increment, config,
-                               stepper=stepper)
-        norm_series.append(diag.norm_before_renormalize)
+        state, norm_pre = ito_step(state, ops if shifting else (), increment, config,
+                                   stepper=stepper)
+        norm_series.append(norm_pre)
         steps_taken = step + 1
         at_record = (steps_taken % config.record_every == 0) or steps_taken == config.n_steps
         if not (at_record or absorbing):
@@ -518,7 +499,7 @@ def run_trajectory(system: GridSystem | FiniteSystem, initial: HilbertState,
 def run_schrodinger_reference(system: GridSystem | FiniteSystem, initial: HilbertState,
                               config: IntegratorConfig) -> HilbertState:
     """Deterministic companion run: same stepping, no shift branch."""
-    stepper, _, _ = _setup(system, config)
+    stepper = _setup(system, config)[0]
     state = initial
     for _ in range(config.n_steps):
         state, _ = ito_step(state, [], 0.0, config, stepper=stepper)
@@ -567,11 +548,15 @@ class EnsembleResult:
 def run_ensemble(system: GridSystem | FiniteSystem, initial: HilbertState,
                  config: IntegratorConfig, n_trajectories: int = 100,
                  master_seed: int = 0) -> EnsembleResult:
-    """Run independent trajectories with per-index derived seeds."""
+    """Run independent trajectories with per-index derived seeds.
+
+    The record clock comes from the config: entry i is at step
+    min(i * record_every, n_steps), whenever the trajectories stopped.
+    """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be at least 1")
     n_records = 1 + (config.n_steps + config.record_every - 1) // config.record_every
-    times = None
+    record_steps = np.minimum(np.arange(n_records) * config.record_every, config.n_steps)
     outcomes, steps, seeds = [], [], []
     drift = 0.0
     rows = []
@@ -582,19 +567,12 @@ def run_ensemble(system: GridSystem | FiniteSystem, initial: HilbertState,
         if row.size < n_records:
             row = np.concatenate([row, np.full(n_records - row.size, row[-1])])
         rows.append(row[:n_records])
-        if times is None or rec.times.size > times.size:
-            times = rec.times
         outcomes.append(rec.outcome)
         steps.append(rec.steps_taken)
         seeds.append(seed)
         drift = max(drift, rec.max_norm_drift)
-    full_times = np.asarray(times)
-    if full_times.size < n_records:
-        # every run absorbed early; extend the clock nominally
-        extra = np.arange(1, n_records - full_times.size + 1)
-        full_times = np.concatenate([full_times, full_times[-1] + extra * config.dt * config.record_every])
     return EnsembleResult(
-        times=full_times[:n_records],
+        times=initial.time + record_steps * config.dt,
         weight_in=np.vstack(rows),
         outcomes=outcomes,
         steps_taken=np.asarray(steps),

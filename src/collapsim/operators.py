@@ -29,11 +29,16 @@ one grid basis: the separation components, their squared length u, and
 with respect to the first particle, and its Laplacian. The gradient
 with respect to the second particle is the exact negative of the
 first, so only one is stored. ``run_trajectory`` builds one geometry
-per pair next to its unitary stepper and hands it to every per-step
-consumer, so the fields are computed once per run and freed with it;
-there is no cache that outlives the run. Callers that pass no geometry
-get a throwaway one per call, so a one-shot evaluation holds no more
-full-size fields than it needs.
+per pair and hands it to every per-step consumer, so the fields are
+computed once per run and freed with it; there is no cache that
+outlives the run. The run also sums the pairs' potential values once,
+and that one field enters both the unitary sub-step and the recorded
+energy (kinetic term plus the potential diagonal). Callers that pass
+no geometry get a throwaway one per call, so a one-shot evaluation
+holds no more full-size fields than it needs.
+
+Operators share no base class: anything with an ``apply(amplitudes)``
+method serves as an observable or a Hamiltonian.
 """
 
 from __future__ import annotations
@@ -47,20 +52,16 @@ import numpy as np
 from .state import GridBasis
 
 __all__ = [
-    "LinearOperator",
     "IdentityOperator",
     "DiagonalOperator",
     "KineticOperator",
     "MomentumOperator",
     "AngularMomentumZOperator",
-    "SumOperator",
     "SoftCoulomb",
     "GaussianWell",
     "InteractionPair",
     "PairGeometry",
-    "separation_components",
     "kinetic_symbol",
-    "hamiltonian_operator",
     "derivative1",
     "derivative2",
 ]
@@ -192,19 +193,12 @@ def derivative2(arr, axis, spacing, scheme):
     return _spectral_derivative(arr, axis, spacing, 2)
 
 
-class LinearOperator:
-    """Base class: knows how to apply itself to an amplitude array."""
-
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class IdentityOperator(LinearOperator):
+class IdentityOperator:
     def apply(self, amplitudes):
         return amplitudes
 
 
-class DiagonalOperator(LinearOperator):
+class DiagonalOperator:
     """Pointwise multiplication by a (broadcastable) value field."""
 
     def __init__(self, values):
@@ -214,7 +208,7 @@ class DiagonalOperator(LinearOperator):
         return self.values * amplitudes
 
 
-class KineticOperator(LinearOperator):
+class KineticOperator:
     """Sum over axes of -(1/2 m_axis) d^2/dx^2."""
 
     def __init__(self, basis: GridBasis, scheme="spectral"):
@@ -234,7 +228,7 @@ class KineticOperator(LinearOperator):
         return out
 
 
-class MomentumOperator(LinearOperator):
+class MomentumOperator:
     """Total momentum component: -i sum_particles d/dx_{p,dim}."""
 
     def __init__(self, basis: GridBasis, dim=0, scheme="spectral"):
@@ -255,7 +249,7 @@ class MomentumOperator(LinearOperator):
         return out
 
 
-class AngularMomentumZOperator(LinearOperator):
+class AngularMomentumZOperator:
     """Total L_z = sum_particles -i (x d/dy - y d/dx). Needs dims >= 2."""
 
     def __init__(self, basis: GridBasis, scheme="spectral"):
@@ -283,17 +277,6 @@ class AngularMomentumZOperator(LinearOperator):
             out -= d
             del d
         out *= -1j
-        return out
-
-
-class SumOperator(LinearOperator):
-    def __init__(self, *ops):
-        self.ops = ops
-
-    def apply(self, amplitudes):
-        out = self.ops[0].apply(amplitudes)
-        for op in self.ops[1:]:
-            out = out + op.apply(amplitudes)
         return out
 
 
@@ -382,16 +365,6 @@ class InteractionPair:
             raise ValueError("an interaction pair needs two distinct particles")
 
 
-def separation_components(basis: GridBasis, j: int, k: int) -> list[np.ndarray]:
-    """Minimum-image components of x_j - x_k, broadcastable fields."""
-    out = []
-    for d in range(basis.grid.dims):
-        cj = basis.axis_coordinate(basis.particle_axis(j, d))
-        ck = basis.axis_coordinate(basis.particle_axis(k, d))
-        out.append(basis.wrap_separation(cj - ck))
-    return out
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     # geometry fields are shared by every step of a run; a consumer that
     # wrote into one would corrupt all later steps
@@ -413,7 +386,11 @@ class PairGeometry:
     def __init__(self, basis: GridBasis, pair: InteractionPair):
         self.basis = basis
         self.pair = pair
-        comps = [_frozen(c) for c in separation_components(basis, pair.j, pair.k)]
+        comps = []
+        for d in range(basis.grid.dims):
+            cj = basis.axis_coordinate(basis.particle_axis(pair.j, d))
+            ck = basis.axis_coordinate(basis.particle_axis(pair.k, d))
+            comps.append(_frozen(basis.wrap_separation(cj - ck)))
         u = comps[0] ** 2
         for c in comps[1:]:
             u = u + c ** 2
@@ -462,28 +439,3 @@ def kinetic_symbol(basis: GridBasis, scheme="spectral") -> np.ndarray:
         total = total + term.reshape(shape)
     return total
 
-
-def _pair_potential(basis: GridBasis, pairs, geometries=None) -> np.ndarray:
-    """Summed values of one or more pair potentials, broadcastable over
-    the basis, from the caller's geometries or from throwaway ones built
-    one at a time."""
-    if geometries is None:
-        geometries = (PairGeometry(basis, pair) for pair in pairs)
-    fields = iter(geometries)
-    v = next(fields).values
-    for geometry in fields:
-        v = v + geometry.values
-    return v
-
-
-def hamiltonian_operator(basis: GridBasis, pairs, scheme="spectral",
-                         geometries=None) -> LinearOperator:
-    """Kinetic term plus the summed pair-potential diagonal.
-
-    ``geometries``, one ``PairGeometry`` per pair, supplies the potential
-    values; without it each pair's values are computed here.
-    """
-    kin = KineticOperator(basis, scheme)
-    if not pairs:
-        return kin
-    return SumOperator(kin, DiagonalOperator(_pair_potential(basis, pairs, geometries)))

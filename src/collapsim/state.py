@@ -20,7 +20,8 @@ everything else, exact zeros included, is out. It returns the in-mask,
 the in-branch weight and the centred field. The stepping loop splits
 each new state by the centred collapse fields of the step that produced
 it; recentring a centred field on the same state leaves the masks as
-they are.
+they are. The split and the collapse operators take <V> from one
+helper, ``_density_mean``.
 """
 
 from __future__ import annotations
@@ -239,6 +240,17 @@ def masked_density_sum(state: HilbertState, mask: np.ndarray) -> float:
     return float(part / total)
 
 
+def _density_mean(state: HilbertState, values):
+    """``(density, total, mean)`` of ``state``: its pointwise density, the
+    density's integral, and the density-weighted mean <values> of a real
+    diagonal field broadcastable against the amplitudes."""
+    dens = state.density()
+    total = dens.sum() * state.basis.weight
+    if total == 0.0:
+        raise ValueError("zero state has no density-weighted mean")
+    return dens, total, float((dens * values).sum() * state.basis.weight / total)
+
+
 def branch_split(state: HilbertState, values):
     """``(in_mask, weight_in, centered)`` of ``state`` split by the sign
     of ``values - <values>`` (see the module docstring).
@@ -246,11 +258,8 @@ def branch_split(state: HilbertState, values):
     ``values`` is a real diagonal field broadcastable against the
     amplitudes; the out-branch weight is ``1 - weight_in``.
     """
-    dens = state.density()
-    total = dens.sum() * state.basis.weight
-    if total == 0.0:
-        raise ValueError("zero state has no branch decomposition")
-    centered = values - (dens * values).sum() * state.basis.weight / total
+    dens, total, mean = _density_mean(state, values)
+    centered = values - mean
     in_mask = centered > 0.0
     return in_mask, float((dens * in_mask).sum() * state.basis.weight / total), centered
 

@@ -301,13 +301,13 @@ def test_one_mean_potential_per_pair(monkeypatch):
     # the centring, the overlap check and a repulsive pair's rate
     # denominator share one <V>
     calls = []
-    original = collapse_module._mean_potential
+    original = collapse_module._density_mean
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(collapse_module, "_mean_potential", counting)
+    monkeypatch.setattr(collapse_module, "_density_mean", counting)
     basis = GridBasis(GridSpec(1, 32, 8.0),
                       (ParticleSpec(1.0), ParticleSpec(1.5), ParticleSpec(0.8)))
     pairs = [InteractionPair(0, 1, GaussianWell(-2.0, 1.0)),

@@ -9,11 +9,12 @@ around the measured values.
 import dataclasses
 import gc
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from collapsim.collapse import CollapseOperator, collapse_from_diagonal, collapse_sum
+from collapsim.collapse import CollapseOperator, collapse_sum
 from collapsim.diagnostics import (
     BenchmarkRatios,
     ConservationGapTracker,
@@ -32,7 +33,9 @@ from collapsim.operators import (
     InteractionPair,
     KineticOperator,
     MomentumOperator,
+    PairGeometry,
     SoftCoulomb,
+    derivative1,
 )
 from collapsim.state import (
     FiniteBasis,
@@ -239,26 +242,32 @@ def test_gap_tracker_idle_without_steps():
 
 
 def test_linear_diagonal_matches_closed_form():
-    # D = a x for one particle: grad term -i a k / m, positive a^2 / 2m
-    basis, _, state, _ = _pair_system()
-    alpha, k0 = 0.3, 0.6
-    lin = CollapseOperator(alpha * basis.axis_coordinate(0), 1.0, 1.0)
+    # D = a (x_0 - x_1), given to the pair operator as its derivative
+    # fields (grad_0 D = a = -grad_1 D, no Laplacian): grad term
+    # -i a (k_0 / m_0 - k_1 / m_1), positive a^2 (1/2m_0 + 1/2m_1)
+    basis, pairs, state, _ = _pair_system()
+    alpha, (k0, k1), (m0, m1) = 0.3, (0.6, -0.4), basis.masses
+    linear = SimpleNamespace(gradient=(np.array(alpha),), laplacian=np.array(0.0))
+    lin = CollapseOperator(np.zeros(basis.shape), 1.0, 1.0, pair=pairs[0], geometry=linear)
     terms = energy_deviation_terms(state, [lin], scheme="stencil")
-    assert terms.gradient_term == pytest.approx(-1j * alpha * k0, rel=2e-2)
+    assert terms.gradient_term == pytest.approx(-1j * alpha * (k0 / m0 - k1 / m1), rel=2e-2)
     assert abs(terms.laplacian_term) < 1e-10
-    assert terms.positive_definite_term == pytest.approx(alpha ** 2 / 2.0, rel=2e-2)
+    assert terms.positive_definite_term == pytest.approx(
+        alpha ** 2 * (0.5 / m0 + 0.5 / m1), rel=2e-2)
 
 
-def test_pair_derivatives_match_numerical_fallback():
-    _, _, state, ops = _pair_system()
-    op = ops[0]
-    bare = CollapseOperator(op.centered, op.gamma, op.energy_denominator)
-    analytic = energy_deviation_terms(state, [op])
-    numeric = energy_deviation_terms(state, [bare])
-    assert analytic.gradient_term == pytest.approx(numeric.gradient_term, abs=1e-10)
-    assert analytic.laplacian_term == pytest.approx(numeric.laplacian_term, abs=1e-10)
-    assert analytic.positive_definite_term == pytest.approx(
-        numeric.positive_definite_term, rel=1e-10)
+def test_pair_derivatives_match_numerical_derivatives():
+    # the closed-form gradient and Laplacian of V against spectral
+    # derivatives of the potential field itself
+    basis, pairs, _, _ = _pair_system()
+    geometry = PairGeometry(basis, pairs[0])
+    h = basis.grid.spacing
+    values = np.broadcast_to(geometry.values, basis.shape)
+    grad = derivative1(values, 0, h, "spectral").real
+    assert np.max(np.abs(geometry.gradient[0] - grad)) < 1e-10
+    assert np.max(np.abs(derivative1(values, 1, h, "spectral").real + grad)) < 1e-10
+    lap = derivative1(grad, 0, h, "spectral").real
+    assert np.max(np.abs(geometry.laplacian - lap)) < 1e-10
 
 
 def test_middle_line_is_purely_imaginary():
@@ -287,8 +296,8 @@ def test_terms_scale_with_energy_denominator():
     # the diagonal carries 1/E, so middle ~ 1/E and positive ~ 1/E^2
     _, _, state, ops = _pair_system()
     values = ops[0].centered + 5.0
-    t1 = energy_deviation_terms(state, [collapse_from_diagonal(state, values, 4.0, 2.0)])
-    t2 = energy_deviation_terms(state, [collapse_from_diagonal(state, values, 4.0, 20.0)])
+    t1 = energy_deviation_terms(state, [CollapseOperator(values, 4.0, 2.0, pair=ops[0].pair)])
+    t2 = energy_deviation_terms(state, [CollapseOperator(values, 4.0, 20.0, pair=ops[0].pair)])
     assert abs(t1.middle_total) / abs(t2.middle_total) == pytest.approx(10.0, rel=1e-9)
     assert t1.positive_definite_term / t2.positive_definite_term == pytest.approx(
         100.0, rel=1e-9)

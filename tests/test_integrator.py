@@ -8,6 +8,7 @@ bands derived from the sample size, so they are deterministic.
 
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,14 +33,16 @@ from collapsim.operators import (
     DiagonalOperator,
     GaussianWell,
     InteractionPair,
+    KineticOperator,
+    PairGeometry,
     SoftCoulomb,
-    hamiltonian_operator,
 )
 from collapsim.state import (
     FiniteBasis,
     GridBasis,
     GridSpec,
     ParticleSpec,
+    branch_split,
     expectation,
     finite_state,
     gaussian_packet,
@@ -141,6 +144,13 @@ def _pair_system(n=64, extent=8.0, masses=(1.0, 1.5), centers=(-0.8, 0.8),
     return basis, pair, state
 
 
+def _hamiltonian(basis, pairs):
+    """Spectral kinetic operator plus the diagonal of the summed pair potentials."""
+    kinetic = KineticOperator(basis)
+    potential = DiagonalOperator(sum(PairGeometry(basis, pair).values for pair in pairs))
+    return SimpleNamespace(apply=lambda amp: kinetic.apply(amp) + potential.apply(amp))
+
+
 def test_stencil_stability_bound_enforced():
     basis, pair, state = _pair_system()
     h = basis.grid.spacing
@@ -180,7 +190,8 @@ def test_unitary_steppers_preserve_norm():
     basis, pair, state = _pair_system()
     for scheme in ("split_step_spectral", "crank_nicolson_stencil"):
         dt = 0.002 if scheme == "crank_nicolson_stencil" else 0.01
-        stepper = UnitaryStepper(basis, dt, scheme=scheme, pairs=(pair,))
+        stepper = UnitaryStepper(basis, dt, scheme=scheme,
+                                 potential=PairGeometry(basis, pair).values)
         amp = state.amplitudes
         for _ in range(200):
             amp = stepper.step(amp)
@@ -210,13 +221,13 @@ def test_renormalized_step_reports_prior_norm():
     xi = WienerProcess(seed=5).increment(cfg.dt)
 
     raw_cfg = IntegratorConfig(dt=0.01, n_steps=1, renormalize=False)
-    raw, raw_diag = ito_step(state, ops, xi, raw_cfg)
-    new, diag = ito_step(state, ops, xi, cfg)
+    raw, raw_norm = ito_step(state, ops, xi, raw_cfg)
+    new, norm_pre = ito_step(state, ops, xi, cfg)
 
-    assert diag.shift_applied and raw_diag.shift_applied
-    assert abs(diag.norm_before_renormalize - norm(raw)) < 1e-15
+    assert norm_pre == raw_norm
+    assert abs(norm_pre - norm(raw)) < 1e-15
     assert abs(norm(new) - 1.0) < 1e-14
-    assert diag.norm_before_renormalize != 1.0
+    assert norm_pre != 1.0
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -225,9 +236,9 @@ def test_renormalizing_a_non_finite_state_raises(bad):
     with pytest.raises(FloatingPointError, match="norm"):
         ito_step(state, [], 0.0, IntegratorConfig(dt=0.01, n_steps=1))
     # without renormalization the step reports the norm it produced
-    _, diag = ito_step(state, [], 0.0,
-                       IntegratorConfig(dt=0.01, n_steps=1, renormalize=False))
-    assert not np.isfinite(diag.norm_before_renormalize)
+    _, norm_pre = ito_step(state, [], 0.0,
+                           IntegratorConfig(dt=0.01, n_steps=1, renormalize=False))
+    assert not np.isfinite(norm_pre)
 
 
 def test_kappa_zero_is_bit_identical_to_reference_finite():
@@ -319,7 +330,7 @@ def test_finite_run_work_counts(monkeypatch):
 def test_hamiltonian_density_change_integrates_to_zero():
     basis, pair, state = _pair_system(momenta=(0.6, -0.4))
     cfg = IntegratorConfig(dt=0.01, n_steps=1)
-    ham = hamiltonian_operator(basis, (pair,))
+    ham = _hamiltonian(basis, (pair,))
     change = density_change_decomposition(state, [], 0.0, cfg, hamiltonian=ham)
     assert np.all(change.stochastic_part == 0.0)
     assert abs(np.sum(change.hamiltonian_part) * basis.weight) < 1e-12
@@ -368,14 +379,14 @@ def test_density_decomposition_residual_is_first_order():
     comparable and the measured order sits between one and two.
     """
     basis, pair, state = _pair_system(momenta=(0.6, -0.4))
-    ham = hamiltonian_operator(basis, (pair,))
+    ham = _hamiltonian(basis, (pair,))
     z = complex(1.1, -0.6)  # fixed normal pair, |z|^2/2 != 1
 
     def residual(dt):
         cfg = IntegratorConfig(dt=dt, n_steps=1, renormalize=False)
         ops = collapse_sum(state, (pair,), kappa=8.0, c=1.0)
         xi = z * np.sqrt(dt / 2.0)
-        stepper = UnitaryStepper(basis, dt, pairs=(pair,))
+        stepper = UnitaryStepper(basis, dt, potential=PairGeometry(basis, pair).values)
         new, _ = ito_step(state, ops, xi, cfg, stepper=stepper)
         actual = ((np.conj(new.amplitudes) * new.amplitudes)
                   - (np.conj(state.amplitudes) * state.amplitudes)).real
@@ -545,6 +556,19 @@ def test_ensemble_is_deterministic_and_padded():
             assert np.all(tail == tail[0])
 
 
+def test_ensemble_times_follow_the_record_clock():
+    # every run absorbs between record steps, the longest at step 59; the
+    # clock still reads step min(i * record_every, n_steps) at entry i
+    cfg = _two_level_config(n_steps=203, record_every=5)
+    ens = run_ensemble(TWO_LEVEL, _two_level(0.5), cfg, n_trajectories=8,
+                       master_seed=3)
+    assert None not in ens.outcomes
+    assert max(ens.steps_taken) % cfg.record_every != 0
+    steps = [5 * i for i in range(41)] + [203]
+    np.testing.assert_allclose(ens.times, np.array(steps) * cfg.dt, rtol=0.0, atol=1e-12)
+    assert ens.weight_in.shape == (8, len(steps))
+
+
 def test_ensemble_mean_weight_is_martingale():
     cfg = _two_level_config(n_steps=150, dt=0.05)
     w0 = 0.3
@@ -604,6 +628,41 @@ def test_energy_reuses_the_recorded_kinetic_field(monkeypatch, with_pair, scheme
             assert np.array_equal(both[key], alone[key], equal_nan=True), (names, key)
     assert np.array_equal(records[("kinetic", "energy")].expectations["kinetic"],
                           records[("energy", "kinetic")].expectations["kinetic"])
+
+
+@pytest.mark.parametrize("names", [("energy",), ("kinetic", "energy")])
+def test_two_pair_energy_is_the_summed_hamiltonian(names):
+    # three particles on a line, pairs (0, 1) and (1, 2): the recorded
+    # energy applies the kinetic term plus both pairs' potentials
+    basis = GridBasis(GridSpec(1, 16, 4.0),
+                      (ParticleSpec(1.0), ParticleSpec(1.5), ParticleSpec(0.8)))
+    pairs = (InteractionPair(0, 1, GaussianWell(-2.0, 1.0)),
+             InteractionPair(1, 2, SoftCoulomb(1.0, 0.5)))
+    state = normalize(gaussian_packet(basis, [-1.0, 0.2, 1.1], [0.9, 0.8, 1.0],
+                                      [0.5, -0.2, -0.4]))
+    cfg = IntegratorConfig(dt=0.01, n_steps=6, record_every=2, stop_on_absorb=False,
+                           record_observables=names)
+    seen = []
+    rec = run_trajectory(GridSystem(basis, pairs), state, cfg, seed=3,
+                         per_step=lambda step, state, ops, increment: seen.append((state, ops)))
+    ham = _hamiltonian(basis, pairs)
+    expected = {"energy": [], "energy_in": [], "energy_out": []}
+    for step in range(0, cfg.n_steps + 1, cfg.record_every):
+        # the record after step s splits its state by the fields of step s - 1
+        amp = (seen[step][0] if step < cfg.n_steps else rec.final_state).amplitudes
+        ops = seen[max(step - 1, 0)][1]
+        in_mask, _, _ = branch_split(state.with_amplitudes(amp),
+                                     ops[0].centered + ops[1].centered)
+        in_mask = np.broadcast_to(in_mask, amp.shape)
+        applied = ham.apply(amp)
+        dens = (np.conj(amp) * amp).real
+        local = (np.conj(amp) * applied).real
+        expected["energy"].append(complex(np.vdot(amp, applied) / np.vdot(amp, amp).real).real)
+        for mask, suffix in ((in_mask, "_in"), (~in_mask, "_out")):
+            expected["energy" + suffix].append(
+                float(np.sum(local[mask]) / float(np.sum(dens[mask]))))
+    for key, series in expected.items():
+        assert np.array_equal(rec.expectations[key], series), key
 
 
 def test_unknown_observable_rejected():

@@ -226,21 +226,14 @@ def _reference_energy_deviation_terms(state, collapse_ops, scheme):
     weighted_lap = np.zeros(basis.shape)
     for op in collapse_ops:
         factor = op.kappa * np.sqrt(op.gamma) / op.energy_denominator
-        if op.pair is not None:
-            pair = op.pair
-            geometry = PairGeometry(basis, pair)
-            for particle, orient in ((pair.j, 1.0), (pair.k, -1.0)):
-                mass = basis.particles[particle].mass
-                for d in range(basis.grid.dims):
-                    axis = basis.particle_axis(particle, d)
-                    grads[axis] = grads[axis] + orient * factor * geometry.gradient[d]
-                weighted_lap = weighted_lap + factor * geometry.laplacian / (2.0 * mass)
-        else:
-            for axis in range(basis.n_axes):
-                first = _reference_derivative(op.scaled_values, axis, h, scheme).real
-                second = _reference_derivative(first, axis, h, scheme).real
-                grads[axis] = grads[axis] + first
-                weighted_lap = weighted_lap + second / (2.0 * basis.axis_mass(axis))
+        pair = op.pair
+        geometry = PairGeometry(basis, pair)
+        for particle, orient in ((pair.j, 1.0), (pair.k, -1.0)):
+            mass = basis.particles[particle].mass
+            for d in range(basis.grid.dims):
+                axis = basis.particle_axis(particle, d)
+                grads[axis] = grads[axis] + orient * factor * geometry.gradient[d]
+            weighted_lap = weighted_lap + factor * geometry.laplacian / (2.0 * mass)
     dens = (np.conj(amp) * amp).real
     gradient_term = 0.0 + 0.0j
     positive = 0.0
@@ -274,17 +267,17 @@ def test_rate_numerator_matches_the_field_sum(name, scheme):
 def test_energy_deviation_terms_match_the_field_sum(name, scheme):
     _, state, pairs = SYSTEMS[name]()
     ops = collapse_sum(state, pairs, kappa=1.3, c=2.0, scheme=scheme)
-    # a bare diagonal takes the numerical fallback, next to pair operators
+    terms = energy_deviation_terms(state, ops, scheme)
+    gradient, laplacian, positive = _reference_energy_deviation_terms(state, ops, scheme)
+    assert _close(terms.gradient_term, gradient)
+    assert _close(terms.laplacian_term, laplacian)
+    assert _close(terms.positive_definite_term, positive)
+    assert terms.positive_definite_term > 0.0
+    # a bare diagonal has no pair to differentiate analytically
     bare = collapse_from_diagonal(state, ops[0].centered, gamma_value=0.7,
                                   energy_denominator=3.0)
-    for collapse_ops in (ops, ops + [bare]):
-        terms = energy_deviation_terms(state, collapse_ops, scheme)
-        gradient, laplacian, positive = _reference_energy_deviation_terms(
-            state, collapse_ops, scheme)
-        assert _close(terms.gradient_term, gradient)
-        assert _close(terms.laplacian_term, laplacian)
-        assert _close(terms.positive_definite_term, positive)
-        assert terms.positive_definite_term > 0.0
+    with pytest.raises(ValueError, match="interaction pair"):
+        energy_deviation_terms(state, ops + [bare], scheme)
 
 
 # the unitary step against its fftn form
@@ -301,12 +294,25 @@ def _planar_stepping():
     return basis, 0.008, pairs
 
 
-# every shipped stepping shape, (basis, configured dt, pairs)
+def _three_in_a_line_stepping():
+    # two pairs: the step's potential is the sum of both pairs' values
+    basis, _, pairs = _three_in_a_line()
+    return basis, 0.01, pairs
+
+
+# every shipped stepping shape and one with two pairs: (basis, configured dt, pairs)
 STEPPING = {
     "free_packet": lambda: (_basis("line"), 0.002, []),
     "grid_scattering": _grid_scattering_default,
     "planar_pair": _planar_stepping,
+    "three_in_a_line": _three_in_a_line_stepping,
 }
+
+
+def _summed_potential(basis, pairs):
+    """The stepper's potential: the pairs' summed values, None without pairs."""
+    fields = [PairGeometry(basis, pair).values for pair in pairs]
+    return sum(fields[1:], fields[0]) if fields else None
 
 
 def _reference_step(basis, dt, pairs, amp, scheme):
@@ -332,7 +338,7 @@ def _reference_step(basis, dt, pairs, amp, scheme):
 def test_split_step_matches_the_fftn_form(name, with_pairs, monkeypatch):
     basis, dt, pairs = STEPPING[name]()
     pairs = pairs if with_pairs else []
-    stepper = UnitaryStepper(basis, dt, pairs=tuple(pairs))
+    stepper = UnitaryStepper(basis, dt, potential=_summed_potential(basis, pairs))
     # the stepper holds one n x n matrix per axis and no full-shape array
     assert stepper._kinetic_phase is None
     assert len(stepper._axis_propagators) == basis.n_axes
@@ -362,7 +368,8 @@ def test_split_step_matches_the_fftn_form(name, with_pairs, monkeypatch):
 def test_crank_nicolson_step_equals_the_fftn_cayley_form(name, with_pairs):
     basis, dt, pairs = STEPPING[name]()
     pairs = pairs if with_pairs else []
-    stepper = UnitaryStepper(basis, dt, scheme="crank_nicolson_stencil", pairs=tuple(pairs))
+    stepper = UnitaryStepper(basis, dt, scheme="crank_nicolson_stencil",
+                             potential=_summed_potential(basis, pairs))
     for amp in _white_noise(basis, 7):
         ref = _reference_step(basis, dt, pairs, amp, "crank_nicolson_stencil")
         assert np.array_equal(stepper.step(amp), ref)
