@@ -68,8 +68,10 @@ def rate_numerator(state: HilbertState, pair: InteractionPair, scheme: str,
     mj = basis.particles[pair.j].mass
     mk = basis.particles[pair.k].mass
     integral = (0.5 / mj + 0.5 / mk) * np.vdot(x, geometry.laplacian * x).real
+    # one buffer for every g_d x: a second product is never alive beside it
+    gx = np.empty_like(x)
     for d, grad in enumerate(geometry.gradient):
-        gx = grad * x
+        np.multiply(grad, x, out=gx)
         integral += np.vdot(gx, derivative1(x, basis.particle_axis(pair.j, d), h, scheme)) / mj
         integral -= np.vdot(gx, derivative1(x, basis.particle_axis(pair.k, d), h, scheme)) / mk
     return float(abs(integral / norm_sq))
@@ -185,7 +187,6 @@ def collapse_sum(state, pairs, kappa=1.0, c=1.0, scheme="spectral",
     for pair, geometry in zip(pairs, geometries, strict=True):
         fields = geometry if geometry is not None else PairGeometry(basis, pair)
         mean = _density_mean(state, fields.values)[2]
-        centered = fields.values - mean
         gamma = 0.0
         if kappa and not abs(mean) <= DEGENERATE_RTOL * pair.potential.max_magnitude():
             num = rate_numerator(state, pair, scheme, fields)
@@ -193,8 +194,9 @@ def collapse_sum(state, pairs, kappa=1.0, c=1.0, scheme="spectral",
             # an unbound ratio has no collapse interpretation; treat as off
             if den > 0:
                 gamma = num / den
-        # free a throwaway geometry before the operator allocates its diagonal:
-        # a 32^4 pair otherwise leaves heap holes that raise peak RSS by 8 MiB
+        # centred after the rate, so the rate's work arrays never sit beside
+        # it, and a throwaway geometry freed before the operator's own fields
+        centered = fields.values - mean
         del fields
         e_den = (basis.particles[pair.j].mass + basis.particles[pair.k].mass) * c * c
         ops.append(CollapseOperator(centered, gamma, e_den, kappa, pair, geometry))

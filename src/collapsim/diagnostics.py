@@ -59,6 +59,13 @@ def proportionality_mismatch_field(state: HilbertState, collapse_ops, increment,
     commutator pieces:
 
         psi* [Q, D] psi dxi + psi* (D Q D - {Q, D^2}/2) psi dt
+    """
+    return _mismatch_field(state.amplitudes, total_diagonal(collapse_ops),
+                           increment, q_op, dt)
+
+
+def _mismatch_field(amp, diag, increment, q_op, dt):
+    """The mismatch field of ``amp`` under the summed diagonal ``diag``.
 
     The field is evaluated product by product into buffers made here,
     each in the operand order of the one expression
@@ -68,14 +75,20 @@ def proportionality_mismatch_field(state: HilbertState, collapse_ops, increment,
                        - 0.5 * Q(D * D * psi)) * dt
 
     (its 0.5 * Q(...) as Q(...) * 0.5, NumPy's order for a large
-    temporary), so the two agree bit for bit. With the grid observables
-    at most five state-sized arrays are alive at once.
+    temporary), so the two agree bit for bit. Q(D * D * psi) comes first,
+    while no other buffer is alive; with the grid observables at most
+    four and a half state-sized arrays are then alive at once.
     """
-    amp = state.amplitudes
-    diag = total_diagonal(collapse_ops)
     # an apply result may be its own argument (the identity returns it), so
-    # the only results written into are those whose argument was made here;
-    # amp, q_amp and diag (an operator's own field) are never written
+    # the only results written into are those whose argument was made here,
+    # and Q psi only when it is not the state; amp and diag (with one pair
+    # an operator's own field) are never written
+    diag_sq = np.multiply(diag, diag)
+    work = np.multiply(diag_sq, amp)
+    del diag_sq
+    q_sq = q_op.apply(work)
+    del work
+    np.multiply(q_sq, 0.5, out=q_sq)
     q_d_amp = q_op.apply(diag * amp)
     q_amp = q_op.apply(amp)
     stoch = np.multiply(diag, q_amp)
@@ -83,15 +96,10 @@ def proportionality_mismatch_field(state: HilbertState, collapse_ops, increment,
     drift = np.multiply(diag, q_d_amp, out=q_d_amp)
     diag_sq = np.multiply(0.5, diag)
     np.multiply(diag_sq, diag, out=diag_sq)
-    work = np.multiply(diag_sq, q_amp)
-    del q_amp
+    work = np.multiply(diag_sq, q_amp, out=None if q_amp is amp else q_amp)
+    del diag_sq, q_amp
     np.subtract(drift, work, out=drift)
-    np.multiply(diag, diag, out=diag_sq)
-    np.multiply(diag_sq, amp, out=work)
-    del diag_sq
-    q_sq = q_op.apply(work)
     del work
-    np.multiply(q_sq, 0.5, out=q_sq)
     np.subtract(drift, q_sq, out=drift)
     conj = np.conjugate(amp, out=q_sq)
     np.multiply(conj, stoch, out=stoch)
@@ -101,14 +109,18 @@ def proportionality_mismatch_field(state: HilbertState, collapse_ops, increment,
     return np.add(stoch, drift, out=stoch)
 
 
-def pointwise_proportionality_check(state: HilbertState, collapse_ops, increment,
-                                    q_op, dt: float) -> float:
-    """Norm of the mismatch field, per unit state norm."""
-    field = proportionality_mismatch_field(state, collapse_ops, increment, q_op, dt)
+def _relative_norm(state: HilbertState, field) -> float:
     weight = state.basis.weight
     total = float(np.sqrt(np.sum(np.abs(field) ** 2) * weight))
     dens = float(np.sqrt(np.sum(np.abs(state.amplitudes) ** 2) * weight))
     return total / dens if dens > 0 else total
+
+
+def pointwise_proportionality_check(state: HilbertState, collapse_ops, increment,
+                                    q_op, dt: float) -> float:
+    """Norm of the mismatch field, per unit state norm."""
+    return _relative_norm(state, proportionality_mismatch_field(
+        state, collapse_ops, increment, q_op, dt))
 
 
 class ConservationGapTracker:
@@ -138,9 +150,11 @@ class ConservationGapTracker:
         self._predicted = None
 
     def _measure(self, state: HilbertState):
+        # real copies: a .real view would pin its complex product
         amp = state.amplitudes
-        q_dens = (np.conj(amp) * self.q_op.apply(amp)).real
-        dens = (np.conj(amp) * amp).real
+        conj = np.conj(amp)
+        q_dens = (conj * self.q_op.apply(amp)).real.copy()
+        dens = (conj * amp).real.copy()
         return float(np.sum(q_dens) / np.sum(dens)), q_dens, dens
 
     def observe(self, step, state, ops, increment):
@@ -148,12 +162,14 @@ class ConservationGapTracker:
         if self._predicted is not None:
             self.residuals.append(value - self._predicted)
         self.values.append(value)
-        if ops:
-            diag = total_diagonal(ops)
+        diag = total_diagonal(ops) if ops else None
+        if diag is not None and diag.any():
             a = 1.0 + diag * increment - 0.5 * diag * diag * self.dt
-            g = (a * np.conj(a)).real
+            g = (a * np.conj(a)).real.copy()
+            del a
             self._predicted = float(np.sum(g * q_dens) / np.sum(g * dens))
         else:
+            # no shift: g is 1 everywhere and the prediction is the value
             self._predicted = value
 
     __call__ = observe
@@ -183,10 +199,12 @@ def identity_residual(system: GridSystem, state: HilbertState, q_op,
     gain, the light speed and the time step of ``config``, differentiated
     with the scheme of ``q_op``.
     """
-    ops = collapse_sum(state, system.pairs, kappa=config.kappa, c=config.c,
-                       scheme=q_op.scheme)
-    return pointwise_proportionality_check(state, ops, _PROBE_INCREMENT,
-                                           q_op, config.dt)
+    # only the summed diagonal is kept: the operators and their centred
+    # fields are freed before the field's buffers are made
+    diag = total_diagonal(collapse_sum(state, system.pairs, kappa=config.kappa,
+                                       c=config.c, scheme=q_op.scheme))
+    return _relative_norm(state, _mismatch_field(state.amplitudes, diag,
+                                                 _PROBE_INCREMENT, q_op, config.dt))
 
 
 def _step_residuals(system, state, q_op, config, seed) -> np.ndarray:

@@ -24,11 +24,13 @@ particles, with analytic gradients and Laplacians (no finite
 differencing of potential fields anywhere).
 
 A ``PairGeometry`` holds the state-independent fields of one pair on
-one grid basis: the separation components, their squared length u, and
-(each computed on first use, then kept) the potential V, its gradient
-with respect to the first particle, and its Laplacian. The gradient
-with respect to the second particle is the exact negative of the
-first, so only one is stored. ``run_trajectory`` builds one geometry
+one grid basis: the separation components and (each computed on first
+use from their squared length u, then kept) the potential V, its
+gradient with respect to the first particle, and its Laplacian. u
+itself is not kept: only the repulsive rate denominator reads it per
+step, and holding it would add a full-size field to every run. The
+gradient with respect to the second particle is the exact negative of
+the first, so only one is stored. ``run_trajectory`` builds one geometry
 per pair and hands it to every per-step consumer, so the fields are
 computed once per run and freed with it; there is no cache that
 outlives the run. The run also sums the pairs' potential values once,
@@ -376,11 +378,13 @@ class PairGeometry:
     """State-independent fields of one interaction pair on one grid basis.
 
     ``separation`` (minimum-image components of x_j - x_k, broadcastable)
-    and ``u`` (their squared length) come from a single separation
-    computation at construction; ``values``, ``gradient`` and
-    ``laplacian`` are derived from ``u`` on first access and kept. All
-    fields are read-only. The geometry lives as long as its owner: a
-    run keeps one per pair for its duration, nothing caches it beyond.
+    is computed at construction. ``values``, ``gradient`` and
+    ``laplacian`` are derived from the squared separation length on
+    first access and kept; ``u`` is that length, computed afresh on each
+    access and not kept, so a geometry never holds it beside the fields
+    derived from it. All kept fields are read-only. The geometry lives as
+    long as its owner: a run keeps one per pair for its duration, nothing
+    caches it beyond.
     """
 
     def __init__(self, basis: GridBasis, pair: InteractionPair):
@@ -391,11 +395,16 @@ class PairGeometry:
             cj = basis.axis_coordinate(basis.particle_axis(pair.j, d))
             ck = basis.axis_coordinate(basis.particle_axis(pair.k, d))
             comps.append(_frozen(basis.wrap_separation(cj - ck)))
+        self.separation = comps
+
+    @property
+    def u(self) -> np.ndarray:
+        """Squared minimum-image separation |x_j - x_k|^2."""
+        comps = self.separation
         u = comps[0] ** 2
         for c in comps[1:]:
             u = u + c ** 2
-        self.separation = comps
-        self.u = _frozen(u)
+        return u
 
     @cached_property
     def values(self) -> np.ndarray:

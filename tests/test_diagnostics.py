@@ -7,20 +7,20 @@ around the measured values.
 """
 
 import dataclasses
-import gc
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from collapsim.collapse import CollapseOperator, collapse_sum
+from collapsim.config import parse_config_data
 from collapsim.diagnostics import (
     BenchmarkRatios,
     ConservationGapTracker,
     DeviationAccumulator,
     deviation_ratio_benchmark,
     energy_deviation_terms,
+    identity_residual,
     pointwise_proportionality_check,
     proportionality_mismatch_field,
 )
@@ -125,25 +125,9 @@ def test_angular_momentum_mismatch_spectral_2d():
     assert res < 1e-10
 
 
-def _traced_peak(call):
-    """Peak bytes that ``call`` allocates above what is allocated before it."""
-    gc.collect()
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
-def test_identity_check_holds_few_state_sized_arrays():
+def test_identity_check_holds_few_state_sized_arrays(traced_peak):
     # at 32^4 the spectral check sets the conservation suite's peak
-    # memory; the field's buffers and the observable's hold five
+    # memory; the field's buffers and the observable's hold four and a half
     # state-sized arrays at once, an apply two (its output and one
     # per-axis derivative)
     basis, state, ops = _planar_collision(16)
@@ -152,10 +136,56 @@ def test_identity_check_holds_few_state_sized_arrays():
                    KineticOperator(basis, scheme="spectral"),
                    MomentumOperator(basis, scheme="spectral"))
     for q_op in observables:
-        assert _traced_peak(lambda: q_op.apply(amp)) <= 2.5 * amp.nbytes, type(q_op).__name__
+        assert traced_peak(lambda: q_op.apply(amp)) <= 2.5 * amp.nbytes, type(q_op).__name__
     lz = observables[0]
-    peak = _traced_peak(lambda: pointwise_proportionality_check(state, ops, INCREMENT, lz, DT))
-    assert peak <= 6.5 * amp.nbytes
+    peak = traced_peak(lambda: pointwise_proportionality_check(state, ops, INCREMENT, lz, DT))
+    assert peak <= 5.0 * amp.nbytes
+
+
+# The conservation suite's angular block runs these phases on a 32^4 grid
+# (a 16 MiB state); its 16^4 grid shows the same multiples of the state.
+# Each bound is fixed from the arrays the phase holds, in state units:
+# a real field is half a state.
+
+def _suite_angular_block():
+    cfg = parse_config_data({"scenario": "conservation_suite"})
+    system, state = cfg.angular_system(16)
+    return system, state, cfg.suite_integrator_config("angular")
+
+
+def test_collapse_sum_holds_five_state_sized_arrays(traced_peak):
+    # the rate numerator on a throwaway geometry: V and lap V (half a state
+    # each), the two components of grad V (one), and V psi, one g_d V psi
+    # buffer and one derivative (one each); the centred field comes after
+    system, state, config = _suite_angular_block()
+    peak = traced_peak(lambda: collapse_sum(state, system.pairs, kappa=config.kappa,
+                                            c=config.c, scheme="spectral"))
+    assert peak <= 5.5 * state.amplitudes.nbytes
+
+
+def test_identity_residual_holds_five_state_sized_arrays(traced_peak):
+    # the summed diagonal (half a state) and the field's four and a half;
+    # the operators' centred fields are freed before the field starts
+    system, state, config = _suite_angular_block()
+    lz = AngularMomentumZOperator(system.basis, scheme="spectral")
+    peak = traced_peak(lambda: identity_residual(system, state, lz, config))
+    assert peak <= 5.5 * state.amplitudes.nbytes
+
+
+def test_tracked_stencil_run_holds_no_squared_separation(traced_peak):
+    # a short gap-tracked run peaks inside a step, above what the run holds:
+    # its pair geometry, operators and states. A geometry that kept u (half
+    # a state) beside its fields peaked at 12.2 states here
+    system, state, config = _suite_angular_block()
+    config = dataclasses.replace(config, n_steps=3, record_every=3)
+    lz = AngularMomentumZOperator(system.basis, scheme="stencil")
+
+    def tracked():
+        tracker = ConservationGapTracker(lz, config.dt)
+        record = run_trajectory(system, state, config, seed=5, per_step=tracker)
+        tracker.finish(record.final_state)
+
+    assert traced_peak(tracked) <= 12.0 * state.amplitudes.nbytes
 
 
 # ---------------------------------------------------------------------------

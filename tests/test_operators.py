@@ -239,10 +239,12 @@ def test_pair_geometry_fields_are_kept_and_read_only():
     # computed once, then shared: a write would corrupt every later step
     assert geometry.values is geometry.values
     assert geometry.gradient is geometry.gradient
-    for field in (geometry.values, geometry.laplacian, geometry.u,
+    for field in (geometry.values, geometry.laplacian,
                   *geometry.gradient, *geometry.separation):
         with pytest.raises(ValueError):
             field[...] = 0.0
+    # the squared separation the fields derive from is not kept beside them
+    assert "u" not in vars(geometry)
 
 
 def test_pair_potential_validation():
