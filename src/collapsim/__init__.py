@@ -17,9 +17,7 @@ from .diagnostics import (
     pointwise_proportionality_check,
 )
 from .experiments import (
-    AIR_STP,
     ThermalInput,
-    eraser_bound_check,
     eraser_sweep,
     thermal_estimate,
 )
@@ -52,7 +50,6 @@ from .walk import WalkConfig, born_linearity_scan, step_count_estimate
 __version__ = "0.1.0"
 
 __all__ = [
-    "AIR_STP",
     "AngularMomentumZOperator",
     "ConfigError",
     "ConservationGapTracker",
@@ -75,7 +72,6 @@ __all__ = [
     "characteristic_time",
     "collapse_sum",
     "deviation_ratio_benchmark",
-    "eraser_bound_check",
     "eraser_sweep",
     "expectation",
     "gaussian_packet",

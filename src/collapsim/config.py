@@ -47,7 +47,9 @@ __all__ = [
 #    their runs never read; only their config hashes move
 # 7: a two-level ensemble's times follow the record clock of its config,
 #    not the longest trajectory's own (possibly unrecorded) last time
-ARTIFACT_VERSION = 7
+# 8: grid runs record on the step-index clock too, so grid times are
+#    exact multiples of dt; config_hash leaves out the output section
+ARTIFACT_VERSION = 8
 
 SCENARIOS = (
     "free_packet",
@@ -478,7 +480,9 @@ class RunConfig:
     data: dict
 
     def content_hash(self) -> str:
-        canonical = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
+        """Hash of the physics and numerics: every section but ``output``."""
+        tree = {key: value for key, value in self.data.items() if key != "output"}
+        canonical = json.dumps(tree, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def section(self, name: str) -> dict:

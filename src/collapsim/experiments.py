@@ -35,12 +35,9 @@ __all__ = [
     "eraser_run",
     "sweep_configs",
     "eraser_sweep",
-    "BoundCheck",
-    "eraser_bound_check",
     "ThermalInput",
     "ThermalEstimate",
     "thermal_estimate",
-    "AIR_STP",
 ]
 
 # joint branch labels, target then detector
@@ -226,30 +223,6 @@ def eraser_sweep(epsilons, n_traj: int = 100_000, mode: str = "kick",
                        intercept=float(intercept))
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """Squared interaction ratio against the nonrelativistic ceiling."""
-
-    ratio: float
-    probability: float
-    nonrelativistic: bool     # ratio at or under 1e-3
-    below_bound: bool         # probability at or under 1e-6
-
-
-def eraser_bound_check(ratio: float) -> BoundCheck:
-    """Probability ceiling for a given interaction-to-rest-energy ratio.
-
-    The cross outcomes appear with amplitude of order the ratio, so
-    their probability is its square; at ratio 1e-3 that is 1e-6.
-    """
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError("ratio must lie in [0, 1), got %r" % (ratio,))
-    probability = ratio ** 2
-    return BoundCheck(ratio=ratio, probability=probability,
-                      nonrelativistic=ratio <= 1e-3,
-                      below_bound=probability <= 1e-6)
-
-
 # ---------------------------------------------------------------------------
 # Thermal-rate arithmetic
 
@@ -284,13 +257,6 @@ class ThermalInput:
         if self.collision_rate is not None:
             return self.collision_rate
         return self.mean_speed / self.mean_separation
-
-
-# air at standard conditions: mean molecular mass 4.8e-26 kg, kinetic
-# collision rate ~1e10 per second, 2.5e25 molecules per cubic meter
-AIR_STP = ThermalInput(temperature=300.0, mass=4.8e-26, mean_speed=500.0,
-                       mean_separation=3.4e-9, particle_count=2.5e25,
-                       collision_rate=1e10)
 
 
 @dataclass(frozen=True)

@@ -259,7 +259,7 @@ def ito_step(state: HilbertState, collapse_ops, increment: complex,
             raise FloatingPointError(
                 f"state norm became {norm_pre!r} during a step")
         amp = amp / norm_pre
-    return HilbertState(state.basis, amp, state.time + config.dt), norm_pre
+    return HilbertState(state.basis, amp), norm_pre
 
 
 def density_change_decomposition(state: HilbertState, collapse_ops, increment: complex,
@@ -289,16 +289,17 @@ def density_change_decomposition(state: HilbertState, collapse_ops, increment: c
 
 @dataclass
 class TrajectoryRecord:
-    """Recorded time series of one stochastic run."""
+    """Recorded time series of one stochastic run.
+
+    ``times`` are the recorded step indices times dt.
+    """
 
     times: np.ndarray
     weight_in: np.ndarray
-    weight_out: np.ndarray
     norms_before_renormalize: np.ndarray
     expectations: dict = field(default_factory=dict)
     outcome: str | None = None
     steps_taken: int = 0
-    seed: int = 0
     final_state: HilbertState | None = None
 
     @property
@@ -419,16 +420,15 @@ def run_trajectory(system: GridSystem | FiniteSystem, initial: HilbertState,
 
     state = initial
     theta = config.absorb_threshold
-    times, w_in_series, w_out_series, norm_series = [], [], [], []
+    record_steps, w_in_series, norm_series = [], [], []
     exp_series = {key: [] for name in observables
                   for key in (name, name + "_in", name + "_out")}
     outcome = None
     steps_taken = 0
 
     def record(state, in_mask, w_in):
-        times.append(state.time)
+        record_steps.append(steps_taken)
         w_in_series.append(w_in)
-        w_out_series.append(1.0 - w_in)
         if not observables:
             return
         amp = state.amplitudes
@@ -480,18 +480,16 @@ def run_trajectory(system: GridSystem | FiniteSystem, initial: HilbertState,
                 outcome = "out"
                 break
 
-    if times[-1] != state.time:
+    if record_steps[-1] != steps_taken:
         # only an absorbing step ends a run unrecorded; its split is at hand
         record(state, in_mask, w_in)
     return TrajectoryRecord(
-        times=np.asarray(times),
+        times=np.asarray(record_steps) * config.dt,
         weight_in=np.asarray(w_in_series),
-        weight_out=np.asarray(w_out_series),
         norms_before_renormalize=np.asarray(norm_series),
         expectations={key: np.asarray(vals) for key, vals in exp_series.items()},
         outcome=outcome,
         steps_taken=steps_taken,
-        seed=seed,
         final_state=state,
     )
 
@@ -519,7 +517,6 @@ class EnsembleResult:
     weight_in: np.ndarray
     outcomes: list
     steps_taken: np.ndarray
-    seeds: np.ndarray
     max_norm_drift: float
 
     @property
@@ -557,25 +554,22 @@ def run_ensemble(system: GridSystem | FiniteSystem, initial: HilbertState,
         raise ValueError("n_trajectories must be at least 1")
     n_records = 1 + (config.n_steps + config.record_every - 1) // config.record_every
     record_steps = np.minimum(np.arange(n_records) * config.record_every, config.n_steps)
-    outcomes, steps, seeds = [], [], []
+    outcomes, steps = [], []
     drift = 0.0
     rows = []
     for index in range(n_trajectories):
-        seed = master_seed + index
-        rec = run_trajectory(system, initial, config, seed=seed)
+        rec = run_trajectory(system, initial, config, seed=master_seed + index)
         row = rec.weight_in
         if row.size < n_records:
             row = np.concatenate([row, np.full(n_records - row.size, row[-1])])
         rows.append(row[:n_records])
         outcomes.append(rec.outcome)
         steps.append(rec.steps_taken)
-        seeds.append(seed)
         drift = max(drift, rec.max_norm_drift)
     return EnsembleResult(
-        times=initial.time + record_steps * config.dt,
+        times=record_steps * config.dt,
         weight_in=np.vstack(rows),
         outcomes=outcomes,
         steps_taken=np.asarray(steps),
-        seeds=np.asarray(seeds),
         max_norm_drift=drift,
     )

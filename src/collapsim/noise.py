@@ -22,11 +22,11 @@ __all__ = ["WienerProcess"]
 
 
 class WienerProcess:
-    def __init__(self, seed: int, stream: int = 0, real_noise: bool = False):
+    def __init__(self, seed: int, real_noise: bool = False):
         self.seed = int(seed)
-        self.stream = int(stream)
         self.real_noise = bool(real_noise)
-        self._rng = np.random.default_rng((self.seed, self.stream))
+        # seeded with (seed, 0), not seed alone, to keep the existing draws
+        self._rng = np.random.default_rng((self.seed, 0))
 
     def increment(self, dt: float) -> complex:
         if self.real_noise:

@@ -177,7 +177,7 @@ class FiniteBasis:
 
 @dataclass(frozen=True)
 class HilbertState:
-    """Amplitudes over a basis at a given time.
+    """Amplitudes over a basis.
 
     Amplitudes are stored in basis shape (the full configuration-space
     array for grids, a flat vector for finite bases) as complex128.
@@ -185,7 +185,6 @@ class HilbertState:
 
     basis: GridBasis | FiniteBasis
     amplitudes: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -195,9 +194,8 @@ class HilbertState:
                 % (amp.shape, self.basis.shape))
         object.__setattr__(self, "amplitudes", amp)
 
-    def with_amplitudes(self, amplitudes: np.ndarray, time: float | None = None) -> "HilbertState":
-        return HilbertState(self.basis, amplitudes,
-                            self.time if time is None else time)
+    def with_amplitudes(self, amplitudes: np.ndarray) -> "HilbertState":
+        return HilbertState(self.basis, amplitudes)
 
     def density(self) -> np.ndarray:
         """Pointwise probability density psi* psi (no volume weight)."""

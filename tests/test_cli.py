@@ -73,7 +73,7 @@ def test_free_packet_run_and_artifact_shape(tmp_path):
     assert main(["run", path]) == 0
     body = read_artifact(tmp_path, "free_packet")
     assert body["status"] == "ok"
-    assert body["artifact_version"] == 7
+    assert body["artifact_version"] == 8
     assert body["scenario"] == "free_packet"
     assert len(body["config_hash"]) == 64
     assert len(body["times"]) == 5
@@ -124,6 +124,28 @@ def test_artifacts_byte_identical_across_reruns(tmp_path):
         blobs.append(((tmp_path / "art" / "grid_scattering.json").read_bytes(),
                       (tmp_path / "art" / "grid_scattering.csv").read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+def test_output_directory_leaves_hash_and_json_bytes_alone(tmp_path):
+    path = write_config(tmp_path, "scat.json",
+                        {"scenario": "grid_scattering",
+                         "numerics": {"n_steps": 12, "record_every": 4}})
+    blobs = []
+    for out in ("first", "second"):
+        assert main(["run", path, "--out-dir", str(tmp_path / out)]) == 0
+        blobs.append((tmp_path / out / "grid_scattering.json").read_bytes())
+    assert json.loads(blobs[0])["config_hash"] == json.loads(blobs[1])["config_hash"]
+    assert blobs[0] == blobs[1]
+
+
+def test_default_free_packet_ends_on_its_last_step(tmp_path):
+    assert main(["run", write_config(tmp_path, "free.json", {"scenario": "free_packet"}),
+                 "--out-dir", str(tmp_path / "art")]) == 0
+    body = read_artifact(tmp_path, "free_packet")
+    # 1000 steps of 0.002, recorded as the step index times dt
+    assert body["times"][-1] == 2.0
+    last = (tmp_path / "art" / "free_packet.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[0]) == 2.0
 
 
 def test_seed_changes_artifact_and_is_recorded(tmp_path):

@@ -273,6 +273,10 @@ def test_content_hash_tracks_values_not_key_order():
     c = parse_config_data({"scenario": "walk_scan",
                            "ensemble": {"n_traj": 51, "master_seed": 1}})
     assert c.content_hash() != a.content_hash()
+    # the hash names the physics and numerics, not where artifacts go
+    moved = a.with_overrides(directory="elsewhere")
+    assert moved.content_hash() == a.content_hash()
+    assert moved.data != a.data
 
 
 def test_with_overrides_revalidates():

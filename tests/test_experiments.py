@@ -5,12 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from collapsim.config import parse_config_data
 from collapsim.constants import C_LIGHT, K_BOLTZMANN, SECONDS_PER_YEAR
 from collapsim.experiments import (
-    AIR_STP,
     EraserConfig,
     ThermalInput,
-    eraser_bound_check,
     eraser_run,
     eraser_sweep,
     kick_cross_probability,
@@ -127,38 +126,14 @@ def test_sde_mode_zero_kick_is_exactly_linear():
 
 
 # ---------------------------------------------------------------------------
-# Probability bound
-
-
-def test_bound_at_nonrelativistic_ratio_is_exact():
-    check = eraser_bound_check(1e-3)
-    assert check.probability == 1e-6
-    assert check.nonrelativistic
-    assert check.below_bound
-
-
-def test_bound_squares_the_ratio():
-    assert eraser_bound_check(0.0).probability == 0.0
-    assert eraser_bound_check(1e-7).probability == pytest.approx(1e-14, rel=1e-12)
-    strong = eraser_bound_check(0.3)
-    assert strong.probability == pytest.approx(0.09, rel=1e-12)
-    assert not strong.nonrelativistic
-    assert not strong.below_bound
-
-
-def test_bound_rejects_unphysical_ratio():
-    with pytest.raises(ValueError):
-        eraser_bound_check(1.0)
-    with pytest.raises(ValueError):
-        eraser_bound_check(-1e-3)
-
-
-# ---------------------------------------------------------------------------
 # Thermal rates
+
+# the thermal scenario's defaults: air at standard conditions
+AIR = parse_config_data({"scenario": "thermal"}).thermal_input()
 
 
 def test_air_preset_magnitudes():
-    est = thermal_estimate(AIR_STP)
+    est = thermal_estimate(AIR)
     expected_ratio = K_BOLTZMANN * 300.0 / (4.8e-26 * C_LIGHT ** 2)
     assert est.energy_ratio == pytest.approx(expected_ratio, rel=1e-12)
     assert 3e-13 < est.energy_ratio < 3e-12
@@ -214,7 +189,7 @@ def test_thermal_input_validation():
 
 
 def test_estimate_serializes_with_year_scale():
-    est = thermal_estimate(AIR_STP)
+    est = thermal_estimate(AIR)
     d = est.to_dict()
     json.dumps(d)
     assert d["joules_per_year"] == pytest.approx(

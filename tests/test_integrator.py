@@ -77,22 +77,16 @@ def test_real_noise_moments():
 
 
 def test_batch_matches_sequential_draws():
-    batch = WienerProcess(seed=7, stream=3).increments(0.02, 64)
-    one_at_a_time = WienerProcess(seed=7, stream=3)
+    batch = WienerProcess(seed=7).increments(0.02, 64)
+    one_at_a_time = WienerProcess(seed=7)
     singles = np.array([one_at_a_time.increment(0.02) for _ in range(64)])
     assert np.array_equal(batch, singles)
 
 
 def test_same_seed_reproduces_bitwise():
-    a = WienerProcess(seed=42, stream=1).increments(0.1, 1000)
-    b = WienerProcess(seed=42, stream=1).increments(0.1, 1000)
+    a = WienerProcess(seed=42).increments(0.1, 1000)
+    b = WienerProcess(seed=42).increments(0.1, 1000)
     assert np.array_equal(a, b)
-
-
-def test_distinct_streams_give_distinct_noise():
-    a = WienerProcess(seed=42, stream=0).increments(0.1, 100)
-    b = WienerProcess(seed=42, stream=1).increments(0.1, 100)
-    assert not np.allclose(a, b)
 
 
 # ---------------------------------------------------------------- config
@@ -455,9 +449,10 @@ def test_two_level_trajectory_absorbs_and_reports():
     assert rec.steps_taken < cfg.n_steps
     assert rec.times[0] == 0.0
     assert rec.times.size == rec.weight_in.size
+    # the absorbing step is recorded on the step-index clock
+    assert rec.times[-1] == rec.steps_taken * cfg.dt
     edge = rec.weight_in[-1]
     assert edge >= 1.0 - cfg.absorb_threshold or edge <= cfg.absorb_threshold
-    np.testing.assert_allclose(rec.weight_in + rec.weight_out, 1.0, atol=1e-12)
 
 
 def test_trajectory_weight_series_matches_step_count():
@@ -548,7 +543,6 @@ def test_ensemble_is_deterministic_and_padded():
     assert np.array_equal(ens1.weight_in, ens2.weight_in)
     assert ens1.weight_in.shape == (12, 121)
     assert ens1.times.size == 121
-    assert list(ens1.seeds) == list(range(10, 22))
     # rows that absorbed stay frozen afterwards
     for row, outcome, steps in zip(ens1.weight_in, ens1.outcomes, ens1.steps_taken):
         if outcome is not None and steps < cfg.n_steps:
@@ -565,7 +559,7 @@ def test_ensemble_times_follow_the_record_clock():
     assert None not in ens.outcomes
     assert max(ens.steps_taken) % cfg.record_every != 0
     steps = [5 * i for i in range(41)] + [203]
-    np.testing.assert_allclose(ens.times, np.array(steps) * cfg.dt, rtol=0.0, atol=1e-12)
+    assert np.array_equal(ens.times, np.array(steps) * cfg.dt)
     assert ens.weight_in.shape == (8, len(steps))
 
 
@@ -595,6 +589,17 @@ def test_grid_trajectory_records_observables():
     assert np.isfinite(rec.expectations["momentum_out"][0])
     assert rec.weight_in[0] > 0.05
     assert rec.max_norm_drift < 0.2
+
+
+def test_grid_trajectory_times_follow_the_record_clock():
+    # a final step off the record grid, and a dt whose running sum drifts
+    # off its multiples
+    basis, pair, state = _pair_system(n=32, momenta=(0.6, -0.4))
+    cfg = IntegratorConfig(dt=0.003, n_steps=43, kappa=1.0, record_every=5,
+                           stop_on_absorb=False)
+    rec = run_trajectory(GridSystem(basis, (pair,)), state, cfg, seed=2)
+    steps = np.minimum(np.arange(10) * cfg.record_every, cfg.n_steps)
+    assert np.array_equal(rec.times, steps * cfg.dt)
 
 
 @pytest.mark.parametrize("scheme", ["split_step_spectral", "crank_nicolson_stencil"])
