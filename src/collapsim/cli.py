@@ -157,9 +157,9 @@ def _run_grid_trajectories(cfg: RunConfig):
     icfg = cfg.integrator_config()
     budget = DeviationAccumulator(scheme=icfg.derivative_scheme)
 
-    def watch(step, current, ops, increment):
-        if ops:
-            budget.add(current, ops, icfg.dt)
+    def watch(step, current, op, increment):
+        if op is not None:
+            budget.add(current, op, icfg.dt)
 
     finals = {name: [] for name in icfg.record_observables}
     first = None

@@ -13,9 +13,9 @@ Everything here works in natural units (hbar = 1) on grid states; a
 finite system gives its rate and energy explicitly, because labeled
 bases carry no derivatives.
 
-``collapse_sum`` builds the operators of a grid state. Per pair it
-takes the state's <V> once and computes the rate as
-``rate_numerator`` / ``rate_denominator`` at that <V>. The potential
+``collapse_sum`` builds the one operator of a grid state, summed over
+its pairs. Per pair it takes the state's <V> once and computes the rate
+as ``rate_numerator`` / ``rate_denominator`` at that <V>. The potential
 and its derivatives come from the pair's ``PairGeometry``; a run passes
 its own so the fields are computed once, and a call without one builds
 a throwaway geometry per pair.
@@ -36,7 +36,6 @@ __all__ = [
     "rate_denominator",
     "collapse_sum",
     "collapse_from_diagonal",
-    "total_diagonal",
     "characteristic_time",
 ]
 
@@ -134,43 +133,45 @@ def rate_denominator(state: HilbertState, pair: InteractionPair, scheme: str,
 
 
 class CollapseOperator:
-    """Diagonal stochastic shift generator for one interaction pair.
+    """Diagonal stochastic shift generator of one step, summed over pairs.
 
-    ``scaled_values`` is kappa * sqrt(gamma) * (V - <V>) / E_pair,
-    where E_pair is the summed rest energy (m_j + m_k) c^2 and kappa
-    is a dimensionless study gain (kappa = 1 is the physical setting).
-    ``geometry`` is kept only when the caller passed one in, so a
-    one-shot operator does not pin the pair's fields.
+    ``diagonal`` is D = sum_p kappa * sqrt(gamma_p) * (V_p - <V_p>) / E_p,
+    where E_p is the summed rest energy (m_j + m_k) c^2 of pair p and
+    kappa is a dimensionless study gain (kappa = 1 is the physical
+    setting). ``centered`` is the unscaled sum of V_p - <V_p>, the field
+    whose sign defines the branches. ``terms`` holds one
+    ``(pair, gamma, scale, geometry)`` tuple per pair, with
+    scale = kappa * sqrt(gamma) / E_p; ``geometry`` is kept only when
+    the caller passed one in, so a one-shot operator does not pin the
+    pair's fields, and ``pair`` is None for an explicit diagonal.
     """
 
-    def __init__(self, centered, gamma_value, energy_denominator, kappa=1.0, pair=None,
-                 geometry=None):
-        if not energy_denominator > 0:
-            raise ValueError("energy denominator must be positive")
-        if gamma_value < 0:
-            raise ValueError("rate parameter must be nonnegative")
-        if kappa < 0:
-            raise ValueError("gain must be nonnegative")
-        self.centered = np.asarray(centered, dtype=float)
-        self.gamma = float(gamma_value)
-        self.energy_denominator = float(energy_denominator)
-        self.kappa = float(kappa)
-        self.pair = pair
-        self.geometry = geometry
-        self.scaled_values = (self.kappa * math.sqrt(self.gamma) / self.energy_denominator) * self.centered
+    def __init__(self, diagonal, centered, terms):
+        self.diagonal = diagonal
+        self.centered = centered
+        self.terms = tuple(terms)
 
 
 def collapse_from_diagonal(state, values, gamma_value, energy_denominator,
                            kappa=1.0) -> CollapseOperator:
     """Finite-basis construction from explicit diagonal interaction values."""
+    if not energy_denominator > 0:
+        raise ValueError("energy denominator must be positive")
+    if gamma_value < 0:
+        raise ValueError("rate parameter must be nonnegative")
+    if kappa < 0:
+        raise ValueError("gain must be nonnegative")
     values = np.asarray(values, dtype=float)
     centered = values - _density_mean(state, values)[2]
-    return CollapseOperator(centered, gamma_value, energy_denominator, kappa)
+    scale = kappa * math.sqrt(gamma_value) / energy_denominator
+    return CollapseOperator(scale * centered, centered,
+                            [(None, gamma_value, scale, None)])
 
 
 def collapse_sum(state, pairs, kappa=1.0, c=1.0, scheme="spectral",
-                 geometries=None) -> list[CollapseOperator]:
-    """One operator per pair of a grid state, all centered against it.
+                 geometries=None) -> CollapseOperator | None:
+    """The summed operator of a grid state's pairs, each centred against
+    it, or None without pairs.
 
     ``geometries`` holds one ``PairGeometry`` per pair, in pair order.
     gamma is 0 when the overlap is degenerate (|<V>| at most 1e-14 times
@@ -183,7 +184,8 @@ def collapse_sum(state, pairs, kappa=1.0, c=1.0, scheme="spectral",
                         "for finite bases")
     if geometries is None:
         geometries = (None,) * len(pairs)
-    ops = []
+    diagonal = centered = None
+    terms = []
     for pair, geometry in zip(pairs, geometries, strict=True):
         fields = geometry if geometry is not None else PairGeometry(basis, pair)
         mean = _density_mean(state, fields.values)[2]
@@ -196,21 +198,21 @@ def collapse_sum(state, pairs, kappa=1.0, c=1.0, scheme="spectral",
                 gamma = num / den
         # centred after the rate, so the rate's work arrays never sit beside
         # it, and a throwaway geometry freed before the operator's own fields
-        centered = fields.values - mean
+        pair_centered = fields.values - mean
         del fields
         e_den = (basis.particles[pair.j].mass + basis.particles[pair.k].mass) * c * c
-        ops.append(CollapseOperator(centered, gamma, e_den, kappa, pair, geometry))
-    return ops
-
-
-def total_diagonal(ops) -> np.ndarray:
-    """Summed scaled diagonal of a list of collapse operators."""
-    if not ops:
-        raise ValueError("no collapse operators given")
-    total = ops[0].scaled_values
-    for op in ops[1:]:
-        total = total + op.scaled_values
-    return total
+        scale = kappa * math.sqrt(gamma) / e_den
+        scaled = scale * pair_centered
+        terms.append((pair, gamma, scale, geometry))
+        if diagonal is None:
+            diagonal, centered = scaled, pair_centered
+        else:
+            # not in place: a pair's fields broadcast over the axes it skips
+            diagonal = diagonal + scaled
+            centered = centered + pair_centered
+    if diagonal is None:
+        return None
+    return CollapseOperator(diagonal, centered, terms)
 
 
 def characteristic_time(delta_v: float, hbar: float = 1.0) -> float:

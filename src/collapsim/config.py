@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import OBSERVABLES, FiniteSystem, GridSystem, IntegratorConfig
+from .integrator import FiniteSystem, GridSystem, IntegratorConfig
 from .operators import GaussianWell, InteractionPair, SoftCoulomb
 from .state import FiniteBasis, GridBasis, GridSpec, ParticleSpec, finite_state, gaussian_packet, normalize
 from .walk import WalkConfig
@@ -395,10 +395,6 @@ def _validate(cfg: RunConfig) -> None:
                 tree, "numerics", kappa="physics.kappa", c="physics.c")):
             icfg = cfg.integrator_config()
         for name in icfg.record_observables:
-            if name not in OBSERVABLES:
-                raise ConfigError("numerics.record_observables",
-                                  "unknown observable %r; choose from %s"
-                                  % (name, list(OBSERVABLES)))
             if name in ("momentum_y", "angular_momentum") and basis.grid.dims < 2:
                 raise ConfigError("numerics.record_observables",
                                   "%r needs grid.dims >= 2" % (name,))

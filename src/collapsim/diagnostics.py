@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collapse import collapse_sum, total_diagonal
+from .collapse import collapse_sum
 from .integrator import GridSystem, IntegratorConfig, run_trajectory
 from .operators import PairGeometry, derivative1
 from .state import GridBasis, HilbertState
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-def proportionality_mismatch_field(state: HilbertState, collapse_ops, increment,
+def proportionality_mismatch_field(state: HilbertState, op, increment,
                                    q_op, dt: float) -> np.ndarray:
     """Pointwise gap between the shifted observable density and the
     proportional law, at the formal one-step level.
@@ -60,12 +60,11 @@ def proportionality_mismatch_field(state: HilbertState, collapse_ops, increment,
 
         psi* [Q, D] psi dxi + psi* (D Q D - {Q, D^2}/2) psi dt
     """
-    return _mismatch_field(state.amplitudes, total_diagonal(collapse_ops),
-                           increment, q_op, dt)
+    return _mismatch_field(state.amplitudes, op.diagonal, increment, q_op, dt)
 
 
 def _mismatch_field(amp, diag, increment, q_op, dt):
-    """The mismatch field of ``amp`` under the summed diagonal ``diag``.
+    """The mismatch field of ``amp`` under the diagonal ``diag``.
 
     The field is evaluated product by product into buffers made here,
     each in the operand order of the one expression
@@ -81,8 +80,8 @@ def _mismatch_field(amp, diag, increment, q_op, dt):
     """
     # an apply result may be its own argument (the identity returns it), so
     # the only results written into are those whose argument was made here,
-    # and Q psi only when it is not the state; amp and diag (with one pair
-    # an operator's own field) are never written
+    # and Q psi only when it is not the state; amp and diag (an operator's
+    # own field) are never written
     diag_sq = np.multiply(diag, diag)
     work = np.multiply(diag_sq, amp)
     del diag_sq
@@ -116,11 +115,11 @@ def _relative_norm(state: HilbertState, field) -> float:
     return total / dens if dens > 0 else total
 
 
-def pointwise_proportionality_check(state: HilbertState, collapse_ops, increment,
+def pointwise_proportionality_check(state: HilbertState, op, increment,
                                     q_op, dt: float) -> float:
     """Norm of the mismatch field, per unit state norm."""
     return _relative_norm(state, proportionality_mismatch_field(
-        state, collapse_ops, increment, q_op, dt))
+        state, op, increment, q_op, dt))
 
 
 class ConservationGapTracker:
@@ -157,13 +156,13 @@ class ConservationGapTracker:
         dens = (conj * amp).real.copy()
         return float(np.sum(q_dens) / np.sum(dens)), q_dens, dens
 
-    def observe(self, step, state, ops, increment):
+    def observe(self, step, state, op, increment):
         value, q_dens, dens = self._measure(state)
         if self._predicted is not None:
             self.residuals.append(value - self._predicted)
         self.values.append(value)
-        diag = total_diagonal(ops) if ops else None
-        if diag is not None and diag.any():
+        if op is not None and op.diagonal.any():
+            diag = op.diagonal
             a = 1.0 + diag * increment - 0.5 * diag * diag * self.dt
             g = (a * np.conj(a)).real.copy()
             del a
@@ -195,14 +194,14 @@ def identity_residual(system: GridSystem, state: HilbertState, q_op,
                       config: IntegratorConfig) -> float:
     """Pointwise identity residual of ``q_op`` at a fixed probe increment.
 
-    The collapse operators are built from the system's pairs with the
+    The collapse operator is built from the system's pairs with the
     gain, the light speed and the time step of ``config``, differentiated
     with the scheme of ``q_op``.
     """
-    # only the summed diagonal is kept: the operators and their centred
-    # fields are freed before the field's buffers are made
-    diag = total_diagonal(collapse_sum(state, system.pairs, kappa=config.kappa,
-                                       c=config.c, scheme=q_op.scheme))
+    # only the diagonal is kept: the operator and its centred field are
+    # freed before the field's buffers are made
+    diag = collapse_sum(state, system.pairs, kappa=config.kappa, c=config.c,
+                        scheme=q_op.scheme).diagonal
     return _relative_norm(state, _mismatch_field(state.amplitudes, diag,
                                                  _PROBE_INCREMENT, q_op, config.dt))
 
@@ -251,15 +250,15 @@ class EnergyDeviationTerms:
         return self.gradient_term + self.laplacian_term
 
 
-def _diagonal_derivative_fields(basis: GridBasis, collapse_ops):
-    """Per-axis first derivatives of the full collapse diagonal, and the
-    (coefficient, field) pairs whose weighted sum is its per-axis-mass
+def _diagonal_derivative_fields(basis: GridBasis, op):
+    """Per-axis first derivatives of the collapse diagonal of ``op``, and
+    the (coefficient, field) pairs whose weighted sum is its per-axis-mass
     weighted second derivative sum.
 
-    An axis no operator reaches has no first-derivative field (None).
-    The derivatives are the closed-form potential derivatives of each
-    operator's interaction pair (exact, no ringing at the wrap seam),
-    read from the operator's pair geometry when it kept one. An operator
+    An axis no pair reaches has no first-derivative field (None). The
+    derivatives are the closed-form potential derivatives of each of the
+    operator's interaction pairs (exact, no ringing at the wrap seam),
+    read from the pair's geometry when the operator kept one. A term
     without a pair has nothing to differentiate and is rejected.
     """
     grads = [None] * basis.n_axes
@@ -268,31 +267,31 @@ def _diagonal_derivative_fields(basis: GridBasis, collapse_ops):
     def add(axis, field):
         grads[axis] = field if grads[axis] is None else grads[axis] + field
 
-    for op in collapse_ops:
-        pair = op.pair
+    for pair, _, scale, geometry in op.terms:
         if pair is None:
             raise ValueError("energy deviation terms need collapse operators "
                              "built from an interaction pair")
-        factor = op.kappa * np.sqrt(op.gamma) / op.energy_denominator
-        geometry = op.geometry if op.geometry is not None else PairGeometry(basis, pair)
+        if geometry is None:
+            geometry = PairGeometry(basis, pair)
         for d, grad in enumerate(geometry.gradient):
-            field = factor * grad
+            field = scale * grad
             add(basis.particle_axis(pair.j, d), field)
             # grad_k V = -grad_j V exactly
             add(basis.particle_axis(pair.k, d), -field)
         mj = basis.particles[pair.j].mass
         mk = basis.particles[pair.k].mass
-        laplacians.append((factor * (0.5 / mj + 0.5 / mk), geometry.laplacian))
+        laplacians.append((scale * (0.5 / mj + 0.5 / mk), geometry.laplacian))
     return grads, laplacians
 
 
-def energy_deviation_terms(state: HilbertState, collapse_ops,
+def energy_deviation_terms(state: HilbertState, op,
                            scheme: str = "spectral") -> EnergyDeviationTerms:
     """Term-level decomposition of the kinetic deviation coefficients.
 
     Masses enter per particle. Derivatives of the state use ``scheme``;
-    derivatives of the diagonal are analytic, so every operator must
-    carry its interaction pair (``ValueError`` otherwise).
+    derivatives of the diagonal are analytic, so every term of the
+    collapse operator ``op`` must carry its interaction pair
+    (``ValueError`` otherwise).
     With G_a the derivative of the summed diagonal along axis a, the
     terms are the inner products sum_a (-1/m_a) <G_a psi|d_a psi>,
     -<psi|sum_a d_a^2 D / (2 m_a)|psi> and sum_a (1/2m_a) ||G_a psi||^2,
@@ -305,7 +304,7 @@ def energy_deviation_terms(state: HilbertState, collapse_ops,
     norm_sq = float(np.vdot(amp, amp).real)
     if norm_sq == 0.0:
         raise ValueError("cannot analyze a zero state")
-    grads, laplacians = _diagonal_derivative_fields(basis, collapse_ops)
+    grads, laplacians = _diagonal_derivative_fields(basis, op)
     h = basis.grid.spacing
 
     gradient_term = 0.0 + 0.0j
@@ -344,8 +343,8 @@ class DeviationAccumulator:
         self.heating = 0.0
         self.steps = 0
 
-    def add(self, state: HilbertState, collapse_ops, dt: float) -> EnergyDeviationTerms:
-        terms = energy_deviation_terms(state, collapse_ops, scheme=self.scheme)
+    def add(self, state: HilbertState, op, dt: float) -> EnergyDeviationTerms:
+        terms = energy_deviation_terms(state, op, scheme=self.scheme)
         c = 0.5 * terms.middle_total
         self.variance += 2.0 * abs(c) ** 2 * dt
         self.heating += terms.positive_definite_term * dt

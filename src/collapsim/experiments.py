@@ -42,6 +42,9 @@ __all__ = [
 
 # joint branch labels, target then detector
 ERASER_LABELS = ("II", "IO", "OI", "OO")
+# amplitude of each of the interacting and noninteracting branches after
+# the correlating step
+BRANCH_AMPLITUDE = 2.0 ** -0.5
 
 
 @dataclass(frozen=True)
@@ -52,15 +55,13 @@ class EraserConfig:
     interaction. ``mode`` is "kick" for the single-factor model or
     "sde" for a resolved stochastic run whose integrated noise has unit
     variance. ``sign`` fixes the kick direction or randomizes it per
-    trajectory. ``amplitudes`` are the interacting/noninteracting
-    branch weights after the correlating step.
+    trajectory.
     """
 
     epsilon: float
     n_traj: int = 100_000
     mode: str = "kick"
     sign: str = "random"
-    amplitudes: tuple[float, float] = (2.0 ** -0.5, 2.0 ** -0.5)
     n_steps: int = 200
     dt: float = 0.01
 
@@ -73,11 +74,6 @@ class EraserConfig:
             raise ValueError("mode must be 'kick' or 'sde', got %r" % (self.mode,))
         if self.sign not in ("random", "plus", "minus"):
             raise ValueError("sign must be 'random', 'plus' or 'minus'")
-        if len(self.amplitudes) != 2:
-            raise ValueError("amplitudes must be the (I, O) branch pair")
-        norm_sq = abs(self.amplitudes[0]) ** 2 + abs(self.amplitudes[1]) ** 2
-        if abs(norm_sq - 1.0) > 1e-9:
-            raise ValueError("branch amplitudes must be normalized")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if not self.dt > 0.0:
@@ -96,9 +92,6 @@ class EraserResult:
     """
 
     epsilon: float
-    mode: str
-    n_traj: int
-    seed: int
     correlation_matrix: np.ndarray
     cross_term_probability: float
     cross_sem: float
@@ -132,8 +125,8 @@ def _sde_final_amplitudes(config: EraserConfig, seed: int):
     """Final II and OO amplitudes of the ensemble's resolved runs, run i
     seeded ``seed + i``: branch-selective diagonal, unit integrated noise."""
     basis = FiniteBasis(ERASER_LABELS)
-    a_in, a_out = config.amplitudes
-    initial = finite_state(basis, np.array([a_in, 0.0, 0.0, a_out], dtype=complex))
+    initial = finite_state(basis, np.array([BRANCH_AMPLITUDE, 0.0, 0.0, BRANCH_AMPLITUDE],
+                                           dtype=complex))
     system = FiniteSystem(basis, (1.0, 0.0, 0.0, 0.0),
                           gamma=1.0 / (config.n_steps * config.dt),
                           energy_denominator=1.0)
@@ -152,11 +145,10 @@ def eraser_run(config: EraserConfig, seed: int = 0) -> EraserResult:
     the cross probability is identically zero.
     """
     rng = np.random.default_rng((seed, 0))
-    a_in, a_out = config.amplitudes
     if config.mode == "kick":
         signs = _signs(config, rng)
-        alpha = a_in * (1.0 + signs * config.epsilon)
-        beta = a_out * (1.0 - signs * config.epsilon)
+        alpha = BRANCH_AMPLITUDE * (1.0 + signs * config.epsilon)
+        beta = BRANCH_AMPLITUDE * (1.0 - signs * config.epsilon)
     else:
         alpha, beta = _sde_final_amplitudes(config, seed)
     p_same, p_cross = _statistics(alpha, beta)
@@ -166,10 +158,8 @@ def eraser_run(config: EraserConfig, seed: int = 0) -> EraserResult:
     ])
     cross = float(2.0 * np.mean(p_cross))
     sem = float(2.0 * np.std(p_cross) / np.sqrt(config.n_traj))
-    return EraserResult(
-        epsilon=config.epsilon, mode=config.mode, n_traj=config.n_traj,
-        seed=seed, correlation_matrix=matrix,
-        cross_term_probability=cross, cross_sem=sem)
+    return EraserResult(epsilon=config.epsilon, correlation_matrix=matrix,
+                        cross_term_probability=cross, cross_sem=sem)
 
 
 @dataclass(frozen=True)

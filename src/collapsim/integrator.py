@@ -7,11 +7,11 @@ deterministic unitary sub-step:
     psi -> psi + D psi dxi - (1/2) D^2 psi dt        (shift, D diagonal)
     psi -> U(dt) psi                                  (unitary)
 
-followed by optional renormalization. D sums the scaled diagonals of
-every collapse operator handed to the step. When the summed diagonal
-is exactly zero (kappa = 0, or no pairs) a run hands the step no
-operators and draws no increment, so such runs are bit-identical to
-the bare unitary flow.
+followed by optional renormalization. D is the diagonal of the one
+collapse operator handed to the step, summed over the system's pairs.
+When D is exactly zero (kappa = 0), or the system has no pairs, a run
+hands the step no operator and draws no increment, so such runs are
+bit-identical to the bare unitary flow.
 
 Every run steps one system: a ``GridSystem`` (a grid basis and its
 pairs) or a ``FiniteSystem`` (a labelled basis with an explicit
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .collapse import collapse_from_diagonal, collapse_sum, total_diagonal
+from .collapse import collapse_from_diagonal, collapse_sum
 from .noise import WienerProcess
 from .operators import (
     AngularMomentumZOperator,
@@ -161,6 +161,10 @@ class IntegratorConfig:
             raise ValueError("absorb_threshold must lie in (0, 0.5)")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
+        for name in self.record_observables:
+            if name not in OBSERVABLES:
+                raise ValueError(f"record_observables: unknown observable {name!r}, "
+                                 f"expected one of {OBSERVABLES}")
 
     @property
     def derivative_scheme(self) -> str:
@@ -237,19 +241,19 @@ class DensityChange:
         return self.hamiltonian_part + self.stochastic_part
 
 
-def ito_step(state: HilbertState, collapse_ops, increment: complex,
+def ito_step(state: HilbertState, op, increment: complex,
              config: IntegratorConfig, stepper: UnitaryStepper | None = None):
     """One full step; returns the new state and its norm before
     renormalization.
 
-    The shift uses the summed diagonal of ``collapse_ops``; with none
-    given it is skipped. With ``config.renormalize`` a
+    The shift uses the diagonal of the collapse operator ``op``; with
+    None it is skipped. With ``config.renormalize`` a
     pre-renormalization norm that is zero or not finite raises
     ``FloatingPointError``.
     """
     amp = state.amplitudes
-    if collapse_ops:
-        diag = total_diagonal(collapse_ops)
+    if op is not None:
+        diag = op.diagonal
         amp = amp * (1.0 + diag * increment - 0.5 * diag * diag * config.dt)
     if stepper is not None:
         amp = stepper.step(amp)
@@ -262,7 +266,7 @@ def ito_step(state: HilbertState, collapse_ops, increment: complex,
     return HilbertState(state.basis, amp), norm_pre
 
 
-def density_change_decomposition(state: HilbertState, collapse_ops, increment: complex,
+def density_change_decomposition(state: HilbertState, op, increment: complex,
                                  config: IntegratorConfig,
                                  hamiltonian=None) -> DensityChange:
     """Split the leading-order density change into transport and shift parts.
@@ -278,10 +282,9 @@ def density_change_decomposition(state: HilbertState, collapse_ops, increment: c
         ham_part = (1j * (np.conj(h_amp) * amp - np.conj(amp) * h_amp) * config.dt).real
     else:
         ham_part = np.zeros(amp.shape)
-    if collapse_ops:
-        diag = total_diagonal(collapse_ops)
+    if op is not None:
         dens = (np.conj(amp) * amp).real
-        stoch_part = dens * diag * (2.0 * np.real(increment))
+        stoch_part = dens * op.diagonal * (2.0 * np.real(increment))
     else:
         stoch_part = np.zeros(amp.shape)
     return DensityChange(hamiltonian_part=ham_part, stochastic_part=stoch_part)
@@ -315,8 +318,6 @@ def _build_observables(basis, config):
     ops = {}
     scheme = config.derivative_scheme
     for name in config.record_observables:
-        if name not in OBSERVABLES:
-            raise ValueError(f"unknown observable {name!r}, expected one of {OBSERVABLES}")
         if name == "momentum":
             ops[name] = MomentumOperator(basis, dim=0, scheme=scheme)
         elif name == "momentum_y":
@@ -345,24 +346,6 @@ def _observable_fields(observables, potential, amp):
     return fields
 
 
-def _ops_split(state, ops):
-    """In-branch mask and weight of ``state`` by the summed centred
-    fields of ``ops``, recentred on ``state``.
-
-    Operators centred on the step's starting state leave a small second
-    mean, which stays exact where a fresh V - <V> would round to zero on
-    a state almost entirely in one level. The fields are unscaled, so
-    the branches stay defined at ``kappa = 0``. Without operators the
-    whole state is out.
-    """
-    if not ops:
-        return False, 0.0
-    centred = ops[0].centered
-    for op in ops[1:]:
-        centred = centred + op.centered
-    return branch_split(state, centred)[:2]
-
-
 def _setup(system, config):
     """Unitary stepper, summed pair potential, recorded observables and
     per-step collapse operator builder of one run of ``system``.
@@ -379,11 +362,11 @@ def _setup(system, config):
             raise ValueError("a finite system records no observables, got %r"
                              % (config.record_observables,))
 
-        def collapse_ops(state):
-            return [collapse_from_diagonal(state, system.values, gamma_value=system.gamma,
-                                           energy_denominator=system.energy_denominator,
-                                           kappa=config.kappa)]
-        return None, None, {}, collapse_ops
+        def collapse_op(state):
+            return collapse_from_diagonal(state, system.values, gamma_value=system.gamma,
+                                          energy_denominator=system.energy_denominator,
+                                          kappa=config.kappa)
+        return None, None, {}, collapse_op
 
     basis, pairs = system.basis, system.pairs
     config.validate_grid(basis)
@@ -394,10 +377,10 @@ def _setup(system, config):
     stepper = UnitaryStepper(basis, config.dt, config.scheme, potential)
     observables = _build_observables(basis, config)
 
-    def collapse_ops(state):
+    def collapse_op(state):
         return collapse_sum(state, pairs, kappa=config.kappa, c=config.c,
                             scheme=config.derivative_scheme, geometries=geometries)
-    return stepper, potential, observables, collapse_ops
+    return stepper, potential, observables, collapse_op
 
 
 def run_trajectory(system: GridSystem | FiniteSystem, initial: HilbertState,
@@ -405,17 +388,22 @@ def run_trajectory(system: GridSystem | FiniteSystem, initial: HilbertState,
                    per_step=None) -> TrajectoryRecord:
     """Integrate one stochastic trajectory of ``system`` from ``initial``.
 
-    Grid runs derive the collapse operator of every pair afresh each
+    Grid runs derive the collapse operator from every pair afresh each
     step (the rate tracks the evolving state); finite runs reuse the
-    system's diagonal with its rate. Operators are built only for steps
-    that are taken: the branch split of each new state (recorded, and
-    tested against the absorption threshold) recentres the operators of
-    the step that produced it. Recording happens at step multiples of
-    ``record_every`` plus the initial and final points.
-    ``per_step(step_index, state, ops, increment)`` is invoked before
-    each step for callers that accumulate extra diagnostics.
+    system's diagonal with its rate. An operator is built only for a
+    step that is taken: the branch split of each new state (recorded,
+    and tested against the absorption threshold) recentres the
+    operator's unscaled ``centered`` field of the step that produced
+    it. That field's small second mean stays exact where a fresh
+    V - <V> would round to zero on a state almost entirely in one
+    level, and being unscaled it defines the branches at kappa = 0.
+    Recording happens at step multiples of ``record_every`` plus the
+    initial and final points.
+    ``per_step(step_index, state, op, increment)`` is invoked before
+    each step for callers that accumulate extra diagnostics; ``op`` is
+    the step's one collapse operator, or None without pairs.
     """
-    stepper, potential, observables, collapse_ops = _setup(system, config)
+    stepper, potential, observables, collapse_op = _setup(system, config)
     wiener = WienerProcess(seed, real_noise=config.real_noise)
 
     state = initial
@@ -452,24 +440,27 @@ def run_trajectory(system: GridSystem | FiniteSystem, initial: HilbertState,
                 exp_series[name + suffix].append(
                     float(np.sum(local[mask]) / w) if w > 0.0 else float("nan"))
 
-    ops = collapse_ops(state)
-    absorbing = config.stop_on_absorb and bool(ops)
-    record(state, *_ops_split(state, ops))
+    op = collapse_op(state)
+    absorbing = config.stop_on_absorb and op is not None
+    # without an operator the whole state is out
+    in_mask, w_in = branch_split(state, op.centered)[:2] if op is not None else (False, 0.0)
+    record(state, in_mask, w_in)
     for step in range(config.n_steps):
         if step > 0:
-            ops = collapse_ops(state)
-        shifting = bool(ops) and total_diagonal(ops).any()
+            op = collapse_op(state)
+        shifting = op is not None and op.diagonal.any()
         increment = wiener.increment(config.dt) if shifting else 0.0
         if per_step is not None:
-            per_step(step, state, ops, increment)
-        state, norm_pre = ito_step(state, ops if shifting else (), increment, config,
+            per_step(step, state, op, increment)
+        state, norm_pre = ito_step(state, op if shifting else None, increment, config,
                                    stepper=stepper)
         norm_series.append(norm_pre)
         steps_taken = step + 1
         at_record = (steps_taken % config.record_every == 0) or steps_taken == config.n_steps
         if not (at_record or absorbing):
             continue
-        in_mask, w_in = _ops_split(state, ops)
+        if op is not None:
+            in_mask, w_in = branch_split(state, op.centered)[:2]
         if at_record:
             record(state, in_mask, w_in)
         if absorbing:
@@ -500,7 +491,7 @@ def run_schrodinger_reference(system: GridSystem | FiniteSystem, initial: Hilber
     stepper = _setup(system, config)[0]
     state = initial
     for _ in range(config.n_steps):
-        state, _ = ito_step(state, [], 0.0, config, stepper=stepper)
+        state, _ = ito_step(state, None, 0.0, config, stepper=stepper)
     return state
 
 

@@ -96,9 +96,6 @@ def barrier_bias(x0: float, barrier: float) -> float:
 
 @dataclass
 class WalkEnsembleResult:
-    x0: float
-    config: WalkConfig
-    seed: int
     final: np.ndarray
     status: np.ndarray  # +1 upper, -1 lower, 0 still walking
     steps: np.ndarray
@@ -207,8 +204,7 @@ def walk_ensemble(x0: float, n_walkers: int, config: WalkConfig,
             xa = xa[keep]
     x[idx] = xa
     steps[idx] = passes
-    return WalkEnsembleResult(x0=x0, config=config, seed=seed,
-                              final=x, status=status, steps=steps)
+    return WalkEnsembleResult(final=x, status=status, steps=steps)
 
 
 @dataclass

@@ -106,11 +106,11 @@ def test_two_level_martingale(two_level_ensemble):
     icfg = cfg.integrator_config(n_steps=200, stop_on_absorb=False)
     mismatches, magnitudes = [], []
 
-    def watch(step, current, ops, increment):
-        if not ops or increment == 0.0:
+    def watch(step, current, op, increment):
+        if op is None or increment == 0.0:
             return
-        change = density_change_decomposition(current, ops, increment, icfg)
-        in_mask = ops[0].centered > 0
+        change = density_change_decomposition(current, op, increment, icfg)
+        in_mask = op.centered > 0
         gained = float(np.sum(change.stochastic_part[in_mask]))
         lost = float(np.sum(change.stochastic_part[~in_mask]))
         mismatches.append(abs(gained + lost))
@@ -253,9 +253,9 @@ def test_energy_deviation_budget_structure():
     budget = DeviationAccumulator()
     floor = []
 
-    def watch(step, state, ops, increment):
-        if ops:
-            terms = budget.add(state, ops, icfg.dt)
+    def watch(step, state, op, increment):
+        if op is not None:
+            terms = budget.add(state, op, icfg.dt)
             floor.append(terms.positive_definite_term)
 
     record = run_trajectory(system, initial, icfg, seed=0, per_step=watch)

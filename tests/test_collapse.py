@@ -12,13 +12,11 @@ import pytest
 
 from collapsim import collapse as collapse_module
 from collapsim.collapse import (
-    CollapseOperator,
     characteristic_time,
     collapse_from_diagonal,
     collapse_sum,
     rate_denominator,
     rate_numerator,
-    total_diagonal,
 )
 from collapsim.constants import EV, HBAR
 from collapsim.operators import GaussianWell, InteractionPair, PairGeometry, SoftCoulomb
@@ -213,57 +211,62 @@ def test_rate_denominator_negative_branch_is_well_depth():
 # gamma and operator construction
 
 
+def _gamma(op):
+    (_, gamma, _, _), = op.terms
+    return gamma
+
+
 def test_gamma_zero_when_degenerate():
     # narrow packets, separation far outside the interaction range even
     # through the periodic wrap
     basis = pair_basis(extent=8.0)
     pair = InteractionPair(0, 1, GaussianWell(-2.0, 0.5))
     psi = normalize(gaussian_packet(basis, [-4.0, 4.0], [0.4, 0.4]))
-    op, = collapse_sum(psi, [pair])
-    assert op.gamma == 0.0
-    assert np.all(op.scaled_values == 0.0)
+    op = collapse_sum(psi, [pair])
+    assert _gamma(op) == 0.0
+    assert np.all(op.diagonal == 0.0)
 
 
 def test_gamma_positive_during_overlap():
     basis = pair_basis(n=128)
     pair = InteractionPair(0, 1, GaussianWell(-2.0, 1.0))
     psi = overlap_state(basis, momenta=(1.0, -1.0))
-    op, = collapse_sum(psi, [pair])
-    assert op.gamma > 0
-    assert op.gamma == pytest.approx(_numerator(psi, pair) / _denominator(psi, pair))
+    op = collapse_sum(psi, [pair])
+    assert _gamma(op) > 0
+    assert _gamma(op) == pytest.approx(_numerator(psi, pair) / _denominator(psi, pair))
 
 
 def test_gamma_independent_of_gain():
     basis = pair_basis(n=128)
     pair = InteractionPair(0, 1, GaussianWell(-2.0, 1.0))
     psi = overlap_state(basis, momenta=(1.0, -1.0))
-    op1, = collapse_sum(psi, [pair], kappa=1.0, c=10.0)
-    op5, = collapse_sum(psi, [pair], kappa=5.0, c=10.0)
-    assert op1.gamma == op5.gamma
-    assert np.allclose(op5.scaled_values, 5.0 * op1.scaled_values, rtol=1e-12, atol=0)
+    op1 = collapse_sum(psi, [pair], kappa=1.0, c=10.0)
+    op5 = collapse_sum(psi, [pair], kappa=5.0, c=10.0)
+    assert _gamma(op1) == _gamma(op5)
+    assert np.allclose(op5.diagonal, 5.0 * op1.diagonal, rtol=1e-12, atol=0)
 
 
 def test_collapse_operator_is_norm_centered():
     basis = pair_basis(n=128)
     pair = InteractionPair(0, 1, GaussianWell(-2.0, 1.0))
     psi = overlap_state(basis, momenta=(1.0, -1.0))
-    op, = collapse_sum(psi, [pair], kappa=1.0, c=10.0)
+    op = collapse_sum(psi, [pair], kappa=1.0, c=10.0)
     dens = psi.density()
-    mean = (dens * op.scaled_values).sum() / dens.sum()
-    assert abs(mean) < 1e-10 * np.max(np.abs(op.scaled_values))
+    mean = (dens * op.diagonal).sum() / dens.sum()
+    assert abs(mean) < 1e-10 * np.max(np.abs(op.diagonal))
     # positive region of the diagonal is exactly the interacting branch
     v = PairGeometry(basis, pair).values
     dens_mean = (dens * v).sum() / dens.sum()
-    assert np.array_equal(op.scaled_values > 0, np.broadcast_to(v - dens_mean, basis.shape) > 0)
+    assert np.array_equal(op.diagonal > 0, np.broadcast_to(v - dens_mean, basis.shape) > 0)
 
 
 def test_zero_gain_gives_exactly_zero_diagonal():
     basis = pair_basis(n=64)
     pair = InteractionPair(0, 1, GaussianWell(-2.0, 1.0))
     psi = overlap_state(basis)
-    op, = collapse_sum(psi, [pair], kappa=0.0, c=10.0)
-    assert op.gamma == 0.0
-    assert np.all(op.scaled_values == 0.0)
+    op = collapse_sum(psi, [pair], kappa=0.0, c=10.0)
+    assert _gamma(op) == 0.0
+    assert np.all(op.diagonal == 0.0)
 
 
 def test_two_level_centered_diagonal_frozen():
@@ -273,7 +276,7 @@ def test_two_level_centered_diagonal_frozen():
     op = collapse_from_diagonal(psi, [v, 0.0], gamma_value=1.0,
                                 energy_denominator=1.0, kappa=1.0)
     assert np.allclose(op.centered, [1.4, -0.6], atol=1e-12)
-    assert np.allclose(op.scaled_values, [1.4, -0.6], atol=1e-12)
+    assert np.allclose(op.diagonal, [1.4, -0.6], atol=1e-12)
 
 
 def test_collapse_sum_rejects_finite_basis():
@@ -289,9 +292,9 @@ def test_collapse_sum_three_particles():
     pairs = [InteractionPair(0, 1, GaussianWell(-1.0, 1.0)),
              InteractionPair(1, 2, GaussianWell(-1.5, 0.8))]
     psi = normalize(gaussian_packet(basis, [-1.0, 0.0, 1.0], [0.8] * 3))
-    ops = collapse_sum(psi, pairs, kappa=1.0, c=5.0)
-    assert len(ops) == 2
-    diag = total_diagonal(ops)
+    op = collapse_sum(psi, pairs, kappa=1.0, c=5.0)
+    assert len(op.terms) == 2
+    diag = op.diagonal
     dens = psi.density()
     mean = (dens * diag).sum() / dens.sum()
     assert abs(mean) < 1e-12 * max(1e-300, np.max(np.abs(diag)))
@@ -317,8 +320,8 @@ def test_one_mean_potential_per_pair(monkeypatch):
     for pair in pairs:
         for geometry in (None, PairGeometry(basis, pair)):
             calls.clear()
-            op, = collapse_sum(psi, [pair], scheme="stencil", geometries=[geometry])
-            assert op.gamma > 0.0
+            op = collapse_sum(psi, [pair], scheme="stencil", geometries=[geometry])
+            assert _gamma(op) > 0.0
             assert len(calls) == 1
     calls.clear()
     collapse_sum(psi, pairs)
@@ -326,12 +329,15 @@ def test_one_mean_potential_per_pair(monkeypatch):
 
 
 def test_collapse_operator_validation():
+    # an explicit diagonal comes with its caller's rate, energy and gain
+    psi = finite_state(FiniteBasis(("a", "b")), [1.0, 0.0])
     with pytest.raises(ValueError):
-        CollapseOperator(np.zeros(2), gamma_value=1.0, energy_denominator=0.0)
+        collapse_from_diagonal(psi, [1.0, 0.0], gamma_value=1.0, energy_denominator=0.0)
     with pytest.raises(ValueError):
-        CollapseOperator(np.zeros(2), gamma_value=-1.0, energy_denominator=1.0)
+        collapse_from_diagonal(psi, [1.0, 0.0], gamma_value=-1.0, energy_denominator=1.0)
     with pytest.raises(ValueError):
-        CollapseOperator(np.zeros(2), gamma_value=1.0, energy_denominator=1.0, kappa=-0.1)
+        collapse_from_diagonal(psi, [1.0, 0.0], gamma_value=1.0, energy_denominator=1.0,
+                               kappa=-0.1)
 
 
 # ---------------------------------------------------------------------------

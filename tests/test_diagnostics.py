@@ -57,8 +57,8 @@ def _pair_system(n=64, potential=None, momenta=(0.6, -0.4), scheme="spectral"):
     pairs = [InteractionPair(0, 1, potential or GaussianWell(-2.0, 1.0))]
     state = normalize(gaussian_packet(basis, centers=(-0.8, 0.8),
                                       widths=(0.9, 0.9), momenta=momenta))
-    ops = collapse_sum(state, pairs, scheme=scheme)
-    return basis, pairs, state, ops
+    op = collapse_sum(state, pairs, scheme=scheme)
+    return basis, pairs, state, op
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +66,14 @@ def _pair_system(n=64, potential=None, momenta=(0.6, -0.4), scheme="spectral"):
 
 
 def test_identity_has_no_mismatch():
-    _, _, state, ops = _pair_system()
-    res = pointwise_proportionality_check(state, ops, INCREMENT, IdentityOperator(), DT)
+    _, _, state, op = _pair_system()
+    res = pointwise_proportionality_check(state, op, INCREMENT, IdentityOperator(), DT)
     assert res < 1e-12
 
 
 def test_zero_increment_leaves_only_drift_part():
-    _, _, state, ops = _pair_system()
-    field = proportionality_mismatch_field(state, ops, 0.0, IdentityOperator(), DT)
+    _, _, state, op = _pair_system()
+    field = proportionality_mismatch_field(state, op, 0.0, IdentityOperator(), DT)
     assert np.max(np.abs(field)) < 1e-15
 
 
@@ -82,25 +82,25 @@ def test_momentum_mismatch_is_second_order_in_spacing():
     # (measured 1.3968e-5 -> 3.6239e-6, ratio 3.855)
     residuals = {}
     for n in (64, 128):
-        basis, _, state, ops = _pair_system(n, potential=SoftCoulomb(1.3, 0.8),
-                                            scheme="stencil")
+        basis, _, state, op = _pair_system(n, potential=SoftCoulomb(1.3, 0.8),
+                                           scheme="stencil")
         p = MomentumOperator(basis, scheme="stencil")
-        residuals[n] = pointwise_proportionality_check(state, ops, INCREMENT, p, DT)
+        residuals[n] = pointwise_proportionality_check(state, op, INCREMENT, p, DT)
     assert residuals[64] > 1e-6
     assert 3.2 < residuals[64] / residuals[128] < 4.6
 
 
 def test_momentum_mismatch_spectral_floor():
-    basis, _, state, ops = _pair_system()
+    basis, _, state, op = _pair_system()
     p = MomentumOperator(basis, scheme="spectral")
-    res = pointwise_proportionality_check(state, ops, INCREMENT, p, DT)
+    res = pointwise_proportionality_check(state, op, INCREMENT, p, DT)
     assert res < 1e-10
 
 
 def test_kinetic_energy_does_not_commute():
-    basis, _, state, ops = _pair_system()
+    basis, _, state, op = _pair_system()
     t = KineticOperator(basis, scheme="spectral")
-    res = pointwise_proportionality_check(state, ops, INCREMENT, t, DT)
+    res = pointwise_proportionality_check(state, op, INCREMENT, t, DT)
     assert res > 1e-4
 
 
@@ -118,10 +118,11 @@ def _planar_collision(n):
 def test_angular_momentum_mismatch_spectral_2d():
     # rotation-invariant pair potential commutes with total L_z; the
     # spectral residual on this well-resolved state measured 2.06e-11
-    basis, state, ops = _planar_collision(32)
-    assert ops[0].gamma > 0.05
+    basis, state, op = _planar_collision(32)
+    (_, gamma, _, _), = op.terms
+    assert gamma > 0.05
     lz = AngularMomentumZOperator(basis, scheme="spectral")
-    res = pointwise_proportionality_check(state, ops, INCREMENT, lz, DT)
+    res = pointwise_proportionality_check(state, op, INCREMENT, lz, DT)
     assert res < 1e-10
 
 
@@ -130,7 +131,7 @@ def test_identity_check_holds_few_state_sized_arrays(traced_peak):
     # memory; the field's buffers and the observable's hold four and a half
     # state-sized arrays at once, an apply two (its output and one
     # per-axis derivative)
-    basis, state, ops = _planar_collision(16)
+    basis, state, op = _planar_collision(16)
     amp = state.amplitudes
     observables = (AngularMomentumZOperator(basis, scheme="spectral"),
                    KineticOperator(basis, scheme="spectral"),
@@ -138,7 +139,7 @@ def test_identity_check_holds_few_state_sized_arrays(traced_peak):
     for q_op in observables:
         assert traced_peak(lambda: q_op.apply(amp)) <= 2.5 * amp.nbytes, type(q_op).__name__
     lz = observables[0]
-    peak = traced_peak(lambda: pointwise_proportionality_check(state, ops, INCREMENT, lz, DT))
+    peak = traced_peak(lambda: pointwise_proportionality_check(state, op, INCREMENT, lz, DT))
     assert peak <= 5.0 * amp.nbytes
 
 
@@ -278,8 +279,9 @@ def test_linear_diagonal_matches_closed_form():
     basis, pairs, state, _ = _pair_system()
     alpha, (k0, k1), (m0, m1) = 0.3, (0.6, -0.4), basis.masses
     linear = SimpleNamespace(gradient=(np.array(alpha),), laplacian=np.array(0.0))
-    lin = CollapseOperator(np.zeros(basis.shape), 1.0, 1.0, pair=pairs[0], geometry=linear)
-    terms = energy_deviation_terms(state, [lin], scheme="stencil")
+    zero = np.zeros(basis.shape)
+    lin = CollapseOperator(zero, zero, [(pairs[0], 1.0, 1.0, linear)])
+    terms = energy_deviation_terms(state, lin, scheme="stencil")
     assert terms.gradient_term == pytest.approx(-1j * alpha * (k0 / m0 - k1 / m1), rel=2e-2)
     assert abs(terms.laplacian_term) < 1e-10
     assert terms.positive_definite_term == pytest.approx(
@@ -304,8 +306,8 @@ def test_middle_line_is_purely_imaginary():
     # integrating by parts, Re(gradient term) = -laplacian term, so the
     # noise coefficient of the energy change is imaginary and its
     # ensemble mean vanishes
-    _, _, state, ops = _pair_system()
-    terms = energy_deviation_terms(state, [ops[0]])
+    _, _, state, op = _pair_system()
+    terms = energy_deviation_terms(state, op)
     assert terms.gradient_term.real == pytest.approx(-terms.laplacian_term.real,
                                                      abs=1e-12)
     assert abs(terms.middle_total.real) < 1e-12
@@ -313,21 +315,21 @@ def test_middle_line_is_purely_imaginary():
 
 
 def test_positive_term_nonnegative_on_random_states():
-    basis, pairs, state, ops = _pair_system()
+    basis, pairs, state, op = _pair_system()
     rng = np.random.default_rng(17)
     for _ in range(3):
         amp = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
         noisy = normalize(state.with_amplitudes(amp))
-        terms = energy_deviation_terms(noisy, ops)
+        terms = energy_deviation_terms(noisy, op)
         assert terms.positive_definite_term >= 0.0
 
 
 def test_terms_scale_with_energy_denominator():
     # the diagonal carries 1/E, so middle ~ 1/E and positive ~ 1/E^2
-    _, _, state, ops = _pair_system()
-    values = ops[0].centered + 5.0
-    t1 = energy_deviation_terms(state, [CollapseOperator(values, 4.0, 2.0, pair=ops[0].pair)])
-    t2 = energy_deviation_terms(state, [CollapseOperator(values, 4.0, 20.0, pair=ops[0].pair)])
+    _, pairs, state, op = _pair_system()
+    t1, t2 = (energy_deviation_terms(state, CollapseOperator(
+        op.diagonal, op.centered, [(pairs[0], 4.0, np.sqrt(4.0) / e_den, None)]))
+        for e_den in (2.0, 20.0))
     assert abs(t1.middle_total) / abs(t2.middle_total) == pytest.approx(10.0, rel=1e-9)
     assert t1.positive_definite_term / t2.positive_definite_term == pytest.approx(
         100.0, rel=1e-9)
@@ -337,33 +339,34 @@ def test_energy_terms_require_grid_state():
     basis = FiniteBasis(("in", "out"))
     psi = finite_state(basis, np.array([1.0, 0.0], dtype=complex))
     with pytest.raises(TypeError):
-        energy_deviation_terms(psi, [])
+        energy_deviation_terms(psi, None)
 
 
 def test_energy_terms_reject_zero_state():
     basis, _, state, _ = _pair_system()
     dead = state.with_amplitudes(np.zeros(basis.shape, dtype=complex))
     with pytest.raises(ValueError):
-        energy_deviation_terms(dead, [])
+        energy_deviation_terms(dead, None)
 
 
 def test_accumulator_matches_manual_isometry():
-    _, _, state, ops = _pair_system()
+    _, _, state, op = _pair_system()
     acc = DeviationAccumulator()
-    terms = acc.add(state, ops, 0.01)
+    terms = acc.add(state, op, 0.01)
     expected = np.sqrt(2.0 * abs(0.5 * terms.middle_total) ** 2 * 0.01)
     assert acc.rms == pytest.approx(expected, rel=1e-12)
     assert acc.heating == pytest.approx(terms.positive_definite_term * 0.01, rel=1e-12)
     before = acc.rms
-    acc.add(state, ops, 0.01)
+    acc.add(state, op, 0.01)
     assert acc.rms > before
     assert acc.steps == 2
 
 
 def test_accumulator_silent_without_operators():
-    _, _, state, _ = _pair_system()
+    # a run without pairs hands no operator; one at zero gain shifts nothing
+    _, pairs, state, _ = _pair_system()
     acc = DeviationAccumulator()
-    acc.add(state, [], 0.01)
+    acc.add(state, collapse_sum(state, pairs, kappa=0.0), 0.01)
     assert acc.rms == 0.0
     assert acc.heating == 0.0
 

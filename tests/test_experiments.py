@@ -35,11 +35,6 @@ def test_config_rejects_unknown_mode_and_sign():
         EraserConfig(epsilon=0.1, sign="alternating")
 
 
-def test_config_requires_normalized_branches():
-    with pytest.raises(ValueError, match="normalized"):
-        EraserConfig(epsilon=0.1, amplitudes=(0.9, 0.9))
-
-
 # ---------------------------------------------------------------------------
 # Kick mode
 

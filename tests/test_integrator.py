@@ -16,7 +16,7 @@ import pytest
 from collapsim import collapse as collapse_module
 from collapsim import integrator as integrator_module
 from collapsim import operators as operators_module
-from collapsim.collapse import collapse_from_diagonal, collapse_sum, total_diagonal
+from collapsim.collapse import collapse_from_diagonal, collapse_sum
 from collapsim.integrator import (
     FiniteSystem,
     GridSystem,
@@ -210,13 +210,13 @@ TWO_LEVEL = FiniteSystem(FiniteBasis(("in", "out")), TWO_LEVEL_DIAG, gamma=4.0,
 def test_renormalized_step_reports_prior_norm():
     state = _two_level(0.4)
     cfg = IntegratorConfig(dt=0.01, n_steps=1)
-    ops = [collapse_from_diagonal(state, TWO_LEVEL_DIAG, gamma_value=4.0,
-                                  energy_denominator=2.0, kappa=1.0)]
+    op = collapse_from_diagonal(state, TWO_LEVEL_DIAG, gamma_value=4.0,
+                                energy_denominator=2.0, kappa=1.0)
     xi = WienerProcess(seed=5).increment(cfg.dt)
 
     raw_cfg = IntegratorConfig(dt=0.01, n_steps=1, renormalize=False)
-    raw, raw_norm = ito_step(state, ops, xi, raw_cfg)
-    new, norm_pre = ito_step(state, ops, xi, cfg)
+    raw, raw_norm = ito_step(state, op, xi, raw_cfg)
+    new, norm_pre = ito_step(state, op, xi, cfg)
 
     assert norm_pre == raw_norm
     assert abs(norm_pre - norm(raw)) < 1e-15
@@ -228,9 +228,9 @@ def test_renormalized_step_reports_prior_norm():
 def test_renormalizing_a_non_finite_state_raises(bad):
     state = finite_state(FiniteBasis(("in", "out")), [bad, 0.6])
     with pytest.raises(FloatingPointError, match="norm"):
-        ito_step(state, [], 0.0, IntegratorConfig(dt=0.01, n_steps=1))
+        ito_step(state, None, 0.0, IntegratorConfig(dt=0.01, n_steps=1))
     # without renormalization the step reports the norm it produced
-    _, norm_pre = ito_step(state, [], 0.0,
+    _, norm_pre = ito_step(state, None, 0.0,
                            IntegratorConfig(dt=0.01, n_steps=1, renormalize=False))
     assert not np.isfinite(norm_pre)
 
@@ -292,7 +292,7 @@ def test_finite_run_work_counts(monkeypatch):
 
     def counting_build(*args, **kwargs):
         op = build(*args, **kwargs)
-        built.append(bool(op.scaled_values.any()))
+        built.append(bool(op.diagonal.any()))
         return op
 
     def counting_step(*args, **kwargs):
@@ -325,7 +325,7 @@ def test_hamiltonian_density_change_integrates_to_zero():
     basis, pair, state = _pair_system(momenta=(0.6, -0.4))
     cfg = IntegratorConfig(dt=0.01, n_steps=1)
     ham = _hamiltonian(basis, (pair,))
-    change = density_change_decomposition(state, [], 0.0, cfg, hamiltonian=ham)
+    change = density_change_decomposition(state, None, 0.0, cfg, hamiltonian=ham)
     assert np.all(change.stochastic_part == 0.0)
     assert abs(np.sum(change.hamiltonian_part) * basis.weight) < 1e-12
     assert np.max(np.abs(change.hamiltonian_part)) > 0.0
@@ -342,17 +342,17 @@ def test_stochastic_part_is_exact_first_order_norm_budget():
     basis, pair, state = _pair_system(momenta=(0.6, -0.4))
     dt = 0.01
     cfg = IntegratorConfig(dt=dt, n_steps=1, renormalize=False)
-    ops = collapse_sum(state, (pair,), kappa=1.0, c=1.0)
-    diag = total_diagonal(ops)
+    op = collapse_sum(state, (pair,), kappa=1.0, c=1.0)
+    diag = op.diagonal
     xi = WienerProcess(seed=21).increment(dt)
 
     skew = 1.0 + 0.25 * np.tanh(basis.axis_coordinate(0))
     tilted = normalize(state.with_amplitudes(state.amplitudes * skew))
 
-    shifted, _ = ito_step(tilted, ops, xi, cfg, stepper=None)
+    shifted, _ = ito_step(tilted, op, xi, cfg, stepper=None)
     delta_sq = norm(shifted) ** 2 - norm(tilted) ** 2
 
-    change = density_change_decomposition(tilted, ops, xi, cfg)
+    change = density_change_decomposition(tilted, op, xi, cfg)
     stoch = np.sum(change.stochastic_part) * basis.weight
 
     dens = (np.conj(tilted.amplitudes) * tilted.amplitudes).real
@@ -378,13 +378,13 @@ def test_density_decomposition_residual_is_first_order():
 
     def residual(dt):
         cfg = IntegratorConfig(dt=dt, n_steps=1, renormalize=False)
-        ops = collapse_sum(state, (pair,), kappa=8.0, c=1.0)
+        op = collapse_sum(state, (pair,), kappa=8.0, c=1.0)
         xi = z * np.sqrt(dt / 2.0)
         stepper = UnitaryStepper(basis, dt, potential=PairGeometry(basis, pair).values)
-        new, _ = ito_step(state, ops, xi, cfg, stepper=stepper)
+        new, _ = ito_step(state, op, xi, cfg, stepper=stepper)
         actual = ((np.conj(new.amplitudes) * new.amplitudes)
                   - (np.conj(state.amplitudes) * state.amplitudes)).real
-        model = density_change_decomposition(state, ops, xi, cfg, hamiltonian=ham)
+        model = density_change_decomposition(state, op, xi, cfg, hamiltonian=ham)
         return np.sum(np.abs(actual - model.total)) * basis.weight
 
     ratio = residual(1e-3) / residual(2.5e-4)
@@ -398,12 +398,12 @@ def test_two_level_shift_mean_weight_is_conserved():
     w0 = 0.37
     state = _two_level(w0)
     cfg = IntegratorConfig(dt=0.01, n_steps=1)
-    ops = [collapse_from_diagonal(state, TWO_LEVEL_DIAG, gamma_value=4.0,
-                                  energy_denominator=2.0, kappa=1.0)]
+    op = collapse_from_diagonal(state, TWO_LEVEL_DIAG, gamma_value=4.0,
+                                energy_denominator=2.0, kappa=1.0)
     noise = WienerProcess(seed=2024)
     deltas = np.empty(4000)
     for i in range(deltas.size):
-        new, _ = ito_step(state, ops, noise.increment(cfg.dt), cfg)
+        new, _ = ito_step(state, op, noise.increment(cfg.dt), cfg)
         deltas[i] = abs(new.amplitudes[0]) ** 2 - w0
     sem = deltas.std(ddof=1) / np.sqrt(deltas.size)
     assert abs(deltas.mean()) < 4 * sem
@@ -418,13 +418,13 @@ def test_one_step_conditional_mean_bias_is_second_order():
 
     def bias(dt):
         cfg = IntegratorConfig(dt=dt, n_steps=1)
-        ops = [collapse_from_diagonal(state, TWO_LEVEL_DIAG, gamma_value=4.0,
-                                      energy_denominator=2.0, kappa=1.0)]
+        op = collapse_from_diagonal(state, TWO_LEVEL_DIAG, gamma_value=4.0,
+                                    energy_denominator=2.0, kappa=1.0)
         total = 0.0
         for x1, p1 in zip(nodes, weights):
             for x2, p2 in zip(nodes, weights):
                 xi = complex(x1, x2) * np.sqrt(dt)  # nodes carry the 1/sqrt(2)
-                new, _ = ito_step(state, ops, xi, cfg)
+                new, _ = ito_step(state, op, xi, cfg)
                 total += p1 * p2 * abs(new.amplitudes[0]) ** 2
         return abs(total / np.pi - w0)
 
@@ -649,15 +649,14 @@ def test_two_pair_energy_is_the_summed_hamiltonian(names):
                            record_observables=names)
     seen = []
     rec = run_trajectory(GridSystem(basis, pairs), state, cfg, seed=3,
-                         per_step=lambda step, state, ops, increment: seen.append((state, ops)))
+                         per_step=lambda step, state, op, increment: seen.append((state, op)))
     ham = _hamiltonian(basis, pairs)
     expected = {"energy": [], "energy_in": [], "energy_out": []}
     for step in range(0, cfg.n_steps + 1, cfg.record_every):
         # the record after step s splits its state by the fields of step s - 1
         amp = (seen[step][0] if step < cfg.n_steps else rec.final_state).amplitudes
-        ops = seen[max(step - 1, 0)][1]
         in_mask, _, _ = branch_split(state.with_amplitudes(amp),
-                                     ops[0].centered + ops[1].centered)
+                                     seen[max(step - 1, 0)][1].centered)
         in_mask = np.broadcast_to(in_mask, amp.shape)
         applied = ham.apply(amp)
         dens = (np.conj(amp) * amp).real
@@ -671,10 +670,8 @@ def test_two_pair_energy_is_the_summed_hamiltonian(names):
 
 
 def test_unknown_observable_rejected():
-    basis, pair, state = _pair_system()
-    cfg = IntegratorConfig(dt=0.01, n_steps=2, record_observables=("spin",))
     with pytest.raises(ValueError, match="spin"):
-        run_trajectory(GridSystem(basis, (pair,)), state, cfg, seed=0)
+        IntegratorConfig(dt=0.01, n_steps=2, record_observables=("spin",))
 
 
 def test_run_ensemble_requires_positive_count():

@@ -34,7 +34,6 @@ from collapsim.collapse import (
     collapse_sum,
     rate_denominator,
     rate_numerator,
-    total_diagonal,
 )
 from collapsim.diagnostics import (
     energy_deviation_terms,
@@ -43,7 +42,7 @@ from collapsim.diagnostics import (
     proportionality_mismatch_field,
 )
 from collapsim.integrator import SCHEMES as STEP_SCHEMES
-from collapsim.integrator import GridSystem, IntegratorConfig, UnitaryStepper
+from collapsim.integrator import GridSystem, IntegratorConfig, UnitaryStepper, run_trajectory
 from collapsim.operators import (
     AngularMomentumZOperator,
     GaussianWell,
@@ -216,7 +215,7 @@ def _reference_rate_numerator(state, pair, scheme):
     return float(abs(integral))
 
 
-def _reference_energy_deviation_terms(state, collapse_ops, scheme):
+def _reference_energy_deviation_terms(state, op, kappa, c, scheme):
     basis = state.basis
     amp = state.amplitudes
     weight = basis.weight
@@ -224,9 +223,9 @@ def _reference_energy_deviation_terms(state, collapse_ops, scheme):
     norm_sq = float(np.sum(np.abs(amp) ** 2) * weight)
     grads = [np.zeros(basis.shape) for _ in range(basis.n_axes)]
     weighted_lap = np.zeros(basis.shape)
-    for op in collapse_ops:
-        factor = op.kappa * np.sqrt(op.gamma) / op.energy_denominator
-        pair = op.pair
+    for pair, gamma, _, _ in op.terms:
+        e_den = (basis.particles[pair.j].mass + basis.particles[pair.k].mass) * c * c
+        factor = kappa * np.sqrt(gamma) / e_den
         geometry = PairGeometry(basis, pair)
         for particle, orient in ((pair.j, 1.0), (pair.k, -1.0)):
             mass = basis.particles[particle].mass
@@ -266,18 +265,19 @@ def test_rate_numerator_matches_the_field_sum(name, scheme):
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_energy_deviation_terms_match_the_field_sum(name, scheme):
     _, state, pairs = SYSTEMS[name]()
-    ops = collapse_sum(state, pairs, kappa=1.3, c=2.0, scheme=scheme)
-    terms = energy_deviation_terms(state, ops, scheme)
-    gradient, laplacian, positive = _reference_energy_deviation_terms(state, ops, scheme)
+    op = collapse_sum(state, pairs, kappa=1.3, c=2.0, scheme=scheme)
+    terms = energy_deviation_terms(state, op, scheme)
+    gradient, laplacian, positive = _reference_energy_deviation_terms(state, op, 1.3, 2.0,
+                                                                      scheme)
     assert _close(terms.gradient_term, gradient)
     assert _close(terms.laplacian_term, laplacian)
     assert _close(terms.positive_definite_term, positive)
     assert terms.positive_definite_term > 0.0
     # a bare diagonal has no pair to differentiate analytically
-    bare = collapse_from_diagonal(state, ops[0].centered, gamma_value=0.7,
+    bare = collapse_from_diagonal(state, op.centered, gamma_value=0.7,
                                   energy_denominator=3.0)
     with pytest.raises(ValueError, match="interaction pair"):
-        energy_deviation_terms(state, ops + [bare], scheme)
+        energy_deviation_terms(state, bare, scheme)
 
 
 # the unitary step against its fftn form
@@ -381,8 +381,9 @@ def test_collapse_operator_equals_the_public_rate_form(name, scheme):
     _, state, pairs = SYSTEMS[name]()
     basis = state.basis
     kappa, c = 1.3, 2.0
-    ops = collapse_sum(state, pairs, kappa=kappa, c=c, scheme=scheme)
-    for pair, op in zip(pairs, ops, strict=True):
+    op = collapse_sum(state, pairs, kappa=kappa, c=c, scheme=scheme)
+    diagonal = centered = None
+    for pair, term in zip(pairs, op.terms, strict=True):
         geometry = PairGeometry(basis, pair)
         v = geometry.values
         dens = state.density()
@@ -391,15 +392,42 @@ def test_collapse_operator_equals_the_public_rate_form(name, scheme):
                  / rate_denominator(state, pair, scheme, geometry, mean))
         e_den = (basis.particles[pair.j].mass + basis.particles[pair.k].mass) * c * c
         scaled = (kappa * np.sqrt(gamma) / e_den) * (v - mean)
-        assert op.gamma == gamma
-        assert np.array_equal(op.scaled_values, scaled)
+        assert term[:2] == (pair, gamma)
+        # summed in pair order
+        diagonal = scaled if diagonal is None else diagonal + scaled
+        centered = v - mean if centered is None else centered + (v - mean)
+    assert np.array_equal(op.diagonal, diagonal)
+    assert np.array_equal(op.centered, centered)
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "stencil"])
+def test_collapse_sum_adds_the_single_pair_operators(scheme):
+    _, state, pairs = _three_in_a_line()
+    op = collapse_sum(state, pairs, kappa=1.3, c=2.0, scheme=scheme)
+    singles = [collapse_sum(state, [pair], kappa=1.3, c=2.0, scheme=scheme)
+               for pair in pairs]
+    assert np.array_equal(op.diagonal, singles[0].diagonal + singles[1].diagonal)
+    assert np.array_equal(op.centered, singles[0].centered + singles[1].centered)
+    assert [term[1] for term in op.terms] == [single.terms[0][1] for single in singles]
+    assert collapse_sum(state, ()) is None
+
+
+def test_two_pair_run_hands_per_step_one_operator():
+    basis, state, pairs = _three_in_a_line()
+    cfg = IntegratorConfig(dt=0.01, n_steps=3, stop_on_absorb=False)
+    seen = []
+    run_trajectory(GridSystem(basis, tuple(pairs)), state, cfg, seed=3,
+                   per_step=lambda step, current, op, increment: seen.append(op))
+    assert len(seen) == cfg.n_steps
+    for op in seen:
+        assert [term[0] for term in op.terms] == pairs
 
 
 # the identity check's mismatch field against its one-expression form
 
-def _reference_mismatch_field(state, collapse_ops, increment, q_op, dt):
+def _reference_mismatch_field(state, op, increment, q_op, dt):
     amp = state.amplitudes
-    diag = total_diagonal(collapse_ops)
+    diag = op.diagonal
     q_amp = q_op.apply(amp)
     q_d_amp = q_op.apply(diag * amp)
     stoch = np.conj(amp) * (q_d_amp - diag * q_amp) * increment
@@ -438,11 +466,11 @@ def _bits(arr):
 @pytest.mark.parametrize("name", sorted(MISMATCH_SYSTEMS))
 def test_mismatch_field_equals_the_one_expression(name, scheme):
     _, state, pairs = MISMATCH_SYSTEMS[name]()
-    ops = collapse_sum(state, pairs, kappa=1.3, c=2.0, scheme=scheme)
+    op = collapse_sum(state, pairs, kappa=1.3, c=2.0, scheme=scheme)
     for q_op in _observables(state.basis, scheme) + [IdentityOperator()]:
         for increment in (MISMATCH_INCREMENT, 0.0):
-            got = proportionality_mismatch_field(state, ops, increment, q_op, MISMATCH_DT)
-            ref = _reference_mismatch_field(state, ops, increment, q_op, MISMATCH_DT)
+            got = proportionality_mismatch_field(state, op, increment, q_op, MISMATCH_DT)
+            ref = _reference_mismatch_field(state, op, increment, q_op, MISMATCH_DT)
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert np.array_equal(got.view(np.float64), ref.view(np.float64)), \
                 (type(q_op).__name__, increment)
@@ -454,26 +482,25 @@ def test_identity_check_writes_no_input(name, scheme, monkeypatch):
     _, state, pairs = MISMATCH_SYSTEMS[name]()
     system = GridSystem(state.basis, tuple(pairs))
     config = IntegratorConfig(dt=MISMATCH_DT, n_steps=1, kappa=1.3, c=2.0)
-    # one pair: the summed diagonal is that operator's own scaled field
-    ops = collapse_sum(state, pairs[:1], kappa=1.3, c=2.0, scheme=scheme)
-    assert total_diagonal(ops) is ops[0].scaled_values
+    # the diagonal the field reads is the operator's own
+    op = collapse_sum(state, pairs, kappa=1.3, c=2.0, scheme=scheme)
     built = []
 
     def keep(made):
-        built.extend((op, _bits(op.scaled_values), _bits(op.centered)) for op in made)
+        built.append((made, _bits(made.diagonal), _bits(made.centered)))
         return made
 
-    keep(ops)
+    keep(op)
     monkeypatch.setattr(diagnostics, "collapse_sum",
                         lambda *args, **kwargs: keep(collapse_sum(*args, **kwargs)))
     state_bits = _bits(state.amplitudes)
     observables = _observables(state.basis, scheme) + [_SchemedIdentity(scheme)]
     for q_op in observables:
-        proportionality_mismatch_field(state, ops, MISMATCH_INCREMENT, q_op, MISMATCH_DT)
-        pointwise_proportionality_check(state, ops, MISMATCH_INCREMENT, q_op, MISMATCH_DT)
+        proportionality_mismatch_field(state, op, MISMATCH_INCREMENT, q_op, MISMATCH_DT)
+        pointwise_proportionality_check(state, op, MISMATCH_INCREMENT, q_op, MISMATCH_DT)
         identity_residual(system, state, q_op, config)
-    assert len(built) == len(ops) + len(observables) * len(pairs)
+    assert len(built) == 1 + len(observables)
     assert _bits(state.amplitudes) == state_bits
-    for op, scaled_bits, centered_bits in built:
-        assert _bits(op.scaled_values) == scaled_bits
-        assert _bits(op.centered) == centered_bits
+    for made, diagonal_bits, centered_bits in built:
+        assert _bits(made.diagonal) == diagonal_bits
+        assert _bits(made.centered) == centered_bits
