@@ -37,11 +37,9 @@ import numpy as np
 
 from .config import (ARTIFACT_VERSION, ConfigError, RunConfig, parse_config,
                      parse_config_data)
-from .diagnostics import (DeviationAccumulator, attributed_gap,
-                          identity_residual)
+from .diagnostics import DeviationAccumulator, conservation_block
 from .experiments import eraser_sweep, thermal_estimate
 from .integrator import run_ensemble, run_trajectory
-from .operators import AngularMomentumZOperator, MomentumOperator
 from .walk import born_linearity_scan
 
 __all__ = ["main"]
@@ -251,40 +249,8 @@ def _run_thermal(cfg: RunConfig):
 
 def _run_conservation(cfg: RunConfig):
     tol = cfg.section("tolerances")
-    blocks = {}
-    for observable, section, q_cls in (
-            ("momentum", "numerics", MomentumOperator),
-            ("angular_momentum", "angular", AngularMomentumZOperator)):
-        icfg = cfg.suite_integrator_config(section)
-        angular = section == "angular"
-        coarse = int(cfg.section("angular" if angular else "grid")["points_per_axis"])
-        gaps, identities = [], []
-        for points in (coarse, 2 * coarse):
-            if angular:
-                system, state = cfg.angular_system(points)
-            else:
-                system = cfg.system(points)
-                state = cfg.initial_state(system.basis)
-            q_op = q_cls(system.basis, scheme="stencil")
-            gaps.append(attributed_gap(system, state, q_op, icfg, cfg.master_seed,
-                                       subtract_control=angular))
-            identities.append(identity_residual(system, state, q_op, icfg))
-        if angular:
-            system, state = cfg.angular_system(spectral=True)
-        # the momentum block probes its fine stencil system spectrally
-        spectral_residual = identity_residual(
-            system, state, q_cls(system.basis, scheme="spectral"), icfg)
-        blocks[observable] = {
-            "points": [coarse, 2 * coarse],
-            "coarse_gap": gaps[0],
-            "fine_gap": gaps[1],
-            "gap_ratio": (gaps[0] / gaps[1] if gaps[1] > 0.0
-                          else float("inf")),
-            "identity_ratio": (identities[0] / identities[1]
-                               if identities[1] > 0.0 else float("inf")),
-            "spectral_residual": spectral_residual,
-        }
-
+    blocks = {name: conservation_block(cfg, name)
+              for name in ("momentum", "angular_momentum")}
     checks = []
     for name, block in sorted(blocks.items()):
         for kind in ("gap_ratio", "identity_ratio"):

@@ -14,7 +14,9 @@ All expectations here are normalized by the state norm, so the checks
 are insensitive to whether the caller renormalizes between steps.
 
 ``attributed_gap`` and ``identity_residual`` are the two measurements
-of the conservation suite.
+of the conservation suite, and ``conservation_block`` runs one of its
+blocks from a parsed config. ``collapsim conserve`` and the refinement
+acceptance tests both call ``conservation_block``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .collapse import collapse_sum
+from .config import RunConfig
 from .integrator import GridSystem, IntegratorConfig, run_trajectory
-from .operators import PairGeometry, derivative1
+from .operators import (AngularMomentumZOperator, MomentumOperator, PairGeometry,
+                        derivative1)
 from .state import GridBasis, HilbertState
 
 __all__ = [
@@ -36,6 +40,7 @@ __all__ = [
     "pointwise_proportionality_check",
     "identity_residual",
     "attributed_gap",
+    "conservation_block",
     "energy_deviation_terms",
     "deviation_ratio_benchmark",
     "BenchmarkRatios",
@@ -229,6 +234,64 @@ def attributed_gap(system: GridSystem, state: HilbertState, q_op, config: Integr
         residuals = residuals - _step_residuals(
             system, state, q_op, replace(config, kappa=0.0), seed)
     return abs(float(np.sum(residuals)))
+
+
+def _packet_system(cfg: RunConfig, points: int):
+    system = cfg.system(points)
+    return system, cfg.initial_state(system.basis)
+
+
+# observable: (section of the run's dt and n_steps, section of the coarse
+# points_per_axis, operator class, stencil system and state at a point
+# count, spectral system and state from the fine stencil pair, whether the
+# gap subtracts its kappa=0 control)
+_SUITE_BLOCKS = {
+    "momentum": ("numerics", "grid", MomentumOperator, _packet_system,
+                 lambda cfg, fine: fine, False),
+    "angular_momentum": ("angular", "angular", AngularMomentumZOperator,
+                         RunConfig.angular_system,
+                         lambda cfg, fine: cfg.angular_system(spectral=True),
+                         True),
+}
+
+
+def conservation_block(cfg: RunConfig, observable: str) -> dict:
+    """One block of the conservation suite, for ``observable``
+    ``"momentum"`` or ``"angular_momentum"``.
+
+    The block takes ``attributed_gap`` and ``identity_residual`` of the
+    stencil operator on its coarse grid and on one with twice the points
+    per axis; second-order stencils put both coarse/fine ratios near 4.
+    Its ``spectral_residual`` is the spectral operator's
+    ``identity_residual``, on the fine system for momentum and on the
+    ``angular.spectral`` system for angular momentum. Only the angular
+    gap subtracts the same-seed ``kappa=0`` control.
+    """
+    section, grid, q_cls, build, build_spectral, subtract = _SUITE_BLOCKS[observable]
+    icfg = cfg.suite_integrator_config(section)
+    coarse = int(cfg.section(grid)["points_per_axis"])
+    gaps, identities = [], []
+    for points in (coarse, 2 * coarse):
+        system, state = build(cfg, points)
+        q_op = q_cls(system.basis, scheme="stencil")
+        gaps.append(attributed_gap(system, state, q_op, icfg, cfg.master_seed,
+                                   subtract_control=subtract))
+        identities.append(identity_residual(system, state, q_op, icfg))
+    # rebinding frees each phase's state before the next phase runs: the
+    # 32^4 spectral check sets the suite's peak memory, and one leftover
+    # 32^4 state is 16 MiB
+    system, state = build_spectral(cfg, (system, state))
+    spectral_residual = identity_residual(
+        system, state, q_cls(system.basis, scheme="spectral"), icfg)
+    return {
+        "points": [coarse, 2 * coarse],
+        "coarse_gap": gaps[0],
+        "fine_gap": gaps[1],
+        "gap_ratio": gaps[0] / gaps[1] if gaps[1] > 0.0 else float("inf"),
+        "identity_ratio": (identities[0] / identities[1]
+                           if identities[1] > 0.0 else float("inf")),
+        "spectral_residual": spectral_residual,
+    }
 
 
 @dataclass(frozen=True)
