@@ -40,7 +40,7 @@ from .config import (ARTIFACT_VERSION, ConfigError, RunConfig, parse_config,
 from .diagnostics import DeviationAccumulator, conservation_block
 from .experiments import eraser_sweep, thermal_estimate
 from .integrator import run_ensemble, run_trajectory
-from .walk import born_linearity_scan
+from .walk import barrier_bias, born_linearity_scan
 
 __all__ = ["main"]
 
@@ -210,12 +210,15 @@ def _run_two_level(cfg: RunConfig):
 
 def _run_walk_scan(cfg: RunConfig):
     weights = sorted(float(w) for w in cfg.section("walk")["weights"])
-    scan = born_linearity_scan(weights, cfg.n_traj, cfg.walk_config(),
+    config = cfg.walk_config()
+    scan = born_linearity_scan(weights, cfg.n_traj, config,
                                master_seed=cfg.master_seed)
     body = {
         "n_walkers": cfg.n_traj,
         "slope": scan.slope,
         "intercept": scan.intercept,
+        # the barrier's Born line (x0 - theta) / (1 - 2 theta) at x0 = 0
+        "expected_intercept": barrier_bias(0.0, config.barrier_value),
         "max_unresolved": scan.max_unresolved,
         "weights": _series(scan.x0_values),
         "exit_fractions": _series(scan.fractions),

@@ -49,7 +49,10 @@ __all__ = [
 #    not the longest trajectory's own (possibly unrecorded) last time
 # 8: grid runs record on the step-index clock too, so grid times are
 #    exact multiples of dt; config_hash leaves out the output section
-ARTIFACT_VERSION = 8
+# 9: binary walk signs read all 64 bits of each raw word and Gaussian
+#    walk kicks are rounded as s * g, so walk numbers move; walk-scan
+#    artifacts add expected_intercept and eraser points exact_cross_prob
+ARTIFACT_VERSION = 9
 
 SCENARIOS = (
     "free_packet",

@@ -164,7 +164,11 @@ def eraser_run(config: EraserConfig, seed: int = 0) -> EraserResult:
 
 @dataclass(frozen=True)
 class EraserSweep:
-    """Cross probability against kick size, with a log-log power fit."""
+    """Cross probability against kick size, with a log-log power fit.
+
+    Each row carries the measured ``cross_prob`` next to the kick
+    model's exact ``exact_cross_prob``.
+    """
 
     results: tuple[EraserResult, ...]
     slope: float
@@ -177,6 +181,7 @@ class EraserSweep:
             out.append({
                 "epsilon": r.epsilon,
                 "cross_prob": r.cross_term_probability,
+                "exact_cross_prob": kick_cross_probability(r.epsilon),
                 "ci_low": max(r.cross_term_probability - half, 0.0),
                 "ci_high": r.cross_term_probability + half,
             })

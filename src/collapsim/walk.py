@@ -64,9 +64,17 @@ class WalkConfig:
         return 0.25 * self.step_scale ** 2
 
 
-def step_increment(x, scale, draw):
-    """One walk increment; vanishes at both ends, peaks at x = 1/2."""
-    return x * (1.0 - x) * scale * draw
+def step_increment(x, kick):
+    """One walk increment x (1 - x) kick, for a kick already scaled by
+    the step scale; vanishes at both ends, peaks at x = 1/2.
+
+    Computed in place in one new array. Floating-point multiplication
+    commutes, so the value equals ``x * (1.0 - x) * kick`` bit for bit.
+    """
+    out = 1.0 - x
+    out *= x
+    out *= kick
+    return out
 
 
 def matched_step_scale(kappa: float, gamma_value: float, level_splitting: float,
@@ -124,47 +132,54 @@ class WalkEnsembleResult:
         return float(np.sqrt(max(p * (1.0 - p), 1e-12) / self.n_walkers))
 
 
-def _fill_block(rng, mode: str, pool: np.ndarray) -> None:
-    """Overwrite the even-length ``pool`` with the next walk draws.
+def _fill_block(rng, config: WalkConfig, pool: np.ndarray) -> None:
+    """Overwrite ``pool``, whose length is a multiple of 64, with the
+    next walk kicks.
 
-    A binary sign is the top bit of a 32-bit half of a raw 64-bit word,
-    low half first: the bit ``rng.integers(0, 2)`` returns, so the signs
-    of consecutive blocks equal those of consecutive ``integers`` calls
-    of any sizes. Gaussian blocks concatenate as consecutive
-    ``standard_normal`` calls do.
+    A binary kick is exactly +s or -s: draw i of the stream is bit
+    i mod 64, least significant first, of raw 64-bit word i // 64, and
+    a set bit gives +s. A Gaussian kick is s times a ``standard_normal``
+    draw. Either way consecutive blocks concatenate to one stream, so
+    the kicks do not depend on the pool length.
     """
-    if mode == "binary":
-        bits = rng.bit_generator.random_raw(pool.size // 2).view(np.uint32)
-        bits >>= 31
-        np.multiply(bits, 2.0, out=pool)
-        pool -= 1.0
+    scale = config.step_scale
+    if config.mode == "binary":
+        words = rng.bit_generator.random_raw(pool.size // 64)
+        bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                             bitorder="little")
+        np.multiply(bits, 2.0 * scale, out=pool)
+        pool -= scale
     else:
         rng.standard_normal(out=pool)
+        pool *= scale
 
 
 def walk_ensemble(x0: float, n_walkers: int, config: WalkConfig,
                   seed: int = 0) -> WalkEnsembleResult:
     """Vectorized ensemble stepping only the walkers still active.
 
-    Each pass hands one draw per active walker to the active walkers in
-    ascending order. The draws come as slices of one pooled block of
-    ``max(2**14, n_walkers)`` values (rounded up to an even count),
-    refilled in place as it runs out; the stream is the one per-pass
-    ``integers(0, 2)`` or ``standard_normal`` calls would give, so the
-    draws each walker receives are unchanged.
+    Each pass makes one ``step_increment`` call over the active walkers,
+    handing them one kick each in ascending walker order. The kicks come
+    as slices of one pooled block of ``max(2**14, n_walkers)`` values
+    (rounded up to a multiple of 64), refilled in place as it runs out;
+    see ``_fill_block`` for the stream.
 
-    ``idx`` and ``xa`` hold the active walkers' indices and weights; an
-    absorbed walker's final weight (clipped to [0, 1]), status and step
-    count (the pass on which it crossed) are written out as it leaves
-    them, and walkers still active after the last pass get theirs at
-    the end. Only a walker that crossed a barrier can stand outside
-    [0, 1], so the clip is needed only on exit.
+    ``idx`` and ``xa`` hold the active walkers' indices and weights. A
+    pass first tests the barriers with one maximum and one minimum over
+    ``xa``; only a pass on which some walker crossed builds the keep
+    mask. An absorbed walker's final weight (clipped to [0, 1]), status
+    (read from which barrier its weight passed) and step count (the pass
+    on which it crossed) are written out as it leaves, and walkers still
+    active after the last pass get theirs at the end. Only a walker that
+    crossed a barrier can stand outside [0, 1], so the clip is needed
+    only on exit.
     """
     theta = config.barrier_value
-    if not theta < x0 < 1.0 - theta:
+    upper = 1.0 - theta
+    if not theta < x0 < upper:
         raise ValueError(
             f"x0={x0:g} must start strictly between the barriers "
-            f"({theta:g}, {1.0 - theta:g})")
+            f"({theta:g}, {upper:g})")
     if n_walkers < 1:
         raise ValueError("n_walkers must be positive")
     rng = np.random.default_rng((seed,))
@@ -173,33 +188,32 @@ def walk_ensemble(x0: float, n_walkers: int, config: WalkConfig,
     steps = np.empty(n_walkers, dtype=np.int64)
     idx = np.arange(n_walkers)
     xa = np.full(n_walkers, float(x0))
-    scale = config.step_scale
-    pool = np.empty(max(2 ** 14, n_walkers + n_walkers % 2))
-    _fill_block(rng, config.mode, pool)
+    pool = np.empty(-(-max(2 ** 14, n_walkers) // 64) * 64)
+    _fill_block(rng, config, pool)
     used = 0
     passes = 0
     while passes < config.max_steps and idx.size:
         passes += 1
         end = used + idx.size
         if end <= pool.size:
-            draw = pool[used:end]
+            kick = pool[used:end]
             used = end
         else:
             # copy the block's tail out before it is refilled in place
-            draw = np.empty(idx.size)
-            draw[:pool.size - used] = pool[used:]
-            _fill_block(rng, config.mode, pool)
+            kick = np.empty(idx.size)
+            kick[:pool.size - used] = pool[used:]
+            _fill_block(rng, config, pool)
             used = end - pool.size
-            draw[idx.size - used:] = pool[:used]
-        xa += step_increment(xa, scale, draw)
-        upper = xa >= 1.0 - theta
-        crossed = upper | (xa <= theta)
-        if crossed.any():
-            done = idx[crossed]
-            x[done] = np.clip(xa[crossed], 0.0, 1.0)
-            status[done] = np.where(upper[crossed], 1, -1)
+            kick[idx.size - used:] = pool[:used]
+        xa += step_increment(xa, kick)
+        if np.maximum.reduce(xa) >= upper or np.minimum.reduce(xa) <= theta:
+            keep = (xa > theta) & (xa < upper)
+            out = np.flatnonzero(~keep)
+            done = idx[out]
+            crossed = xa[out]
+            x[done] = np.clip(crossed, 0.0, 1.0)
+            status[done] = np.where(crossed >= upper, 1, -1)
             steps[done] = passes
-            keep = ~crossed
             idx = idx[keep]
             xa = xa[keep]
     x[idx] = xa

@@ -13,7 +13,9 @@ from collapsim import cli
 from collapsim.cli import main
 from collapsim.config import parse_config
 from collapsim.diagnostics import conservation_block
+from collapsim.experiments import kick_cross_probability
 from collapsim.integrator import run_trajectory
+from collapsim.walk import barrier_bias
 
 
 def write_config(tmp_path, name, data):
@@ -73,7 +75,7 @@ def test_free_packet_run_and_artifact_shape(tmp_path):
     assert main(["run", path]) == 0
     body = read_artifact(tmp_path, "free_packet")
     assert body["status"] == "ok"
-    assert body["artifact_version"] == 8
+    assert body["artifact_version"] == 9
     assert body["scenario"] == "free_packet"
     assert len(body["config_hash"]) == 64
     assert len(body["times"]) == 5
@@ -207,6 +209,21 @@ def test_walk_scan_csv_weight_column_monotone(tmp_path):
     assert weights == sorted(weights) == [0.2, 0.5, 0.7]
 
 
+@pytest.mark.parametrize("barrier", [None, 0.02])
+def test_walk_scan_expected_intercept_is_barrier_bias(tmp_path, barrier):
+    path = write_config(tmp_path, "walk.json",
+                        {"scenario": "walk_scan",
+                         "walk": {"weights": [0.3, 0.7], "barrier": barrier},
+                         "ensemble": {"n_traj": 200},
+                         "output": {"directory": str(tmp_path / "art")}})
+    assert main(["run", path]) == 0
+    body = read_artifact(tmp_path, "walk_scan")
+    theta = parse_config(path).walk_config().barrier_value
+    assert body["expected_intercept"] == barrier_bias(0.0, theta)
+    assert body["expected_intercept"] == pytest.approx(
+        -theta / (1.0 - 2.0 * theta), rel=1e-15)
+
+
 def test_eraser_artifact_columns(tmp_path):
     path = write_config(tmp_path, "er.json",
                         {"scenario": "eraser",
@@ -215,6 +232,12 @@ def test_eraser_artifact_columns(tmp_path):
     assert main(["run", path]) == 0
     body = read_artifact(tmp_path, "eraser")
     assert body["slope"] == pytest.approx(2.0, abs=0.1)
+    # each point carries the kick model's exact curve, which the kick
+    # ensemble reproduces
+    for point in body["points"]:
+        exact = kick_cross_probability(point["epsilon"])
+        assert point["exact_cross_prob"] == exact
+        assert point["cross_prob"] == pytest.approx(exact, rel=1e-12)
     lines = (tmp_path / "art" / "eraser.csv").read_text().splitlines()
     assert lines[1] == "epsilon,cross_prob,ci_low,ci_high"
     assert len(lines) == 5

@@ -35,11 +35,13 @@ def test_default_barrier_is_quarter_step_squared():
 
 
 def test_step_increment_shape():
-    assert step_increment(0.0, 0.3, 1.0) == 0.0
-    assert step_increment(1.0, 0.3, 1.0) == 0.0
-    assert step_increment(0.5, 0.3, 1.0) == pytest.approx(0.075)
-    # antisymmetric in the draw
-    assert step_increment(0.3, 0.2, -1.0) == -step_increment(0.3, 0.2, 1.0)
+    assert step_increment(0.0, 0.3) == 0.0
+    assert step_increment(1.0, 0.3) == 0.0
+    assert step_increment(0.5, 0.3) == pytest.approx(0.075)
+    # antisymmetric in the kick
+    assert step_increment(0.3, -0.2) == -step_increment(0.3, 0.2)
+    x, kick = np.linspace(0.0, 1.0, 7), np.linspace(-0.5, 0.5, 7)
+    assert np.array_equal(step_increment(x, kick), x * (1.0 - x) * kick)
 
 
 def test_matched_step_scale_formula():
@@ -90,10 +92,23 @@ def test_walk_is_deterministic_per_seed():
     assert not np.array_equal(a.final, c.final)
 
 
+def _reference_bits(rng, n_words):
+    """Bit i mod 64, least significant first, of raw word i // 64."""
+    words = rng.bit_generator.random_raw(n_words)
+    return ((words[:, None] >> np.arange(64, dtype=np.uint64)) & 1).ravel()
+
+
+def _pool_size(n_walkers):
+    """Kicks per pooled block: max(2**14, n_walkers), rounded up to 64."""
+    return -(-max(2 ** 14, n_walkers) // 64) * 64
+
+
 def _rescan_walk(x0, n_walkers, config, seed):
     """Reference loop: rescan every walker each pass and step the active ones."""
     theta = config.barrier_value
+    scale = config.step_scale
     rng = np.random.default_rng((seed,))
+    bits = np.empty(0, dtype=np.uint64)
     x = np.full(n_walkers, float(x0))
     status = np.zeros(n_walkers, dtype=np.int8)
     steps = np.zeros(n_walkers, dtype=np.int64)
@@ -104,10 +119,14 @@ def _rescan_walk(x0, n_walkers, config, seed):
             break
         passes += 1
         if config.mode == "binary":
-            draw = rng.integers(0, 2, idx.size) * 2.0 - 1.0
+            if bits.size < idx.size:
+                bits = np.concatenate(
+                    [bits, _reference_bits(rng, -(-idx.size // 64))])
+            kick = np.where(bits[:idx.size] == 1, scale, -scale)
+            bits = bits[idx.size:]
         else:
-            draw = rng.standard_normal(idx.size)
-        xa = x[idx] + step_increment(x[idx], config.step_scale, draw)
+            kick = scale * rng.standard_normal(idx.size)
+        xa = x[idx] + step_increment(x[idx], kick)
         np.clip(xa, 0.0, 1.0, out=xa)
         x[idx] = xa
         steps[idx] += 1
@@ -133,8 +152,8 @@ def _rescan_walk(x0, n_walkers, config, seed):
 def test_compacted_walk_matches_rescan_reference(x0, config, n_walkers):
     x, status, steps, passes = _rescan_walk(x0, n_walkers, config, seed=21)
     res = walk_ensemble(x0, n_walkers, config, seed=21)
-    # every case runs past the first block of pooled draws
-    assert res.steps.sum() > 2 ** 14
+    # every case runs past the first block of pooled kicks
+    assert res.steps.sum() > _pool_size(n_walkers)
     assert np.array_equal(res.final, x)
     assert np.array_equal(res.status, status)
     assert np.array_equal(res.steps, steps)
@@ -145,25 +164,43 @@ def test_compacted_walk_matches_rescan_reference(x0, config, n_walkers):
     assert (res.fraction_unresolved > 0) == (passes == config.max_steps)
 
 
-def test_pooled_binary_signs_equal_integer_draws(monkeypatch):
-    """The signs each pass receives equal one ``integers(0, 2)`` call of
-    the pass's size, over odd and even sizes and across block refills."""
-    draws = []
+def test_pooled_binary_kicks_follow_raw_word_bits(monkeypatch):
+    """Each pass makes one ``step_increment`` call, and its kicks are +-s
+    from the next bits of the raw stream, over odd and even pass sizes
+    and across block refills."""
+    kicks = []
 
-    def recording(x, scale, draw):
-        draws.append(draw.copy())
-        return step_increment(x, scale, draw)
+    def recording(x, kick):
+        kicks.append(kick.copy())
+        return step_increment(x, kick)
 
     monkeypatch.setattr(walk, "step_increment", recording)
+    n_walkers = 2 ** 14 + 27
     cfg = WalkConfig(step_scale=0.5, max_steps=40)
-    walk_ensemble(0.5, 2 ** 14 + 27, cfg, seed=4)
-    sizes = [d.size for d in draws]
-    assert len(sizes) == 40
-    assert sum(sizes) > 2 * 2 ** 14
+    res = walk_ensemble(0.5, n_walkers, cfg, seed=4)
+    assert len(kicks) == res.steps.max() == 40
+    sizes = [k.size for k in kicks]
+    assert sum(sizes) > 2 * _pool_size(n_walkers)
     assert {size % 2 for size in sizes} == {0, 1}
-    ref = np.random.default_rng((4,))
-    for draw in draws:
-        assert np.array_equal(draw, ref.integers(0, 2, draw.size) * 2.0 - 1.0)
+    bits = _reference_bits(np.random.default_rng((4,)), -(-sum(sizes) // 64))
+    start = 0
+    for kick in kicks:
+        sign = bits[start:start + kick.size]
+        assert np.array_equal(kick, np.where(sign == 1, 0.5, -0.5))
+        start += kick.size
+
+
+def test_walker_landing_on_a_barrier_is_absorbed():
+    # x (1 - x) s = 0.25 at x = 0.5, s = 1: a walker lands exactly on
+    # a barrier on the first pass; one walker per run, so a pass can
+    # meet only the upper or only the lower barrier
+    cfg = WalkConfig(step_scale=1.0, barrier=0.25)
+    runs = [walk_ensemble(0.5, 1, cfg, seed=seed) for seed in range(8)]
+    assert all(res.steps[0] == 1 for res in runs)
+    finals = [res.final[0] for res in runs]
+    assert set(finals) == {0.25, 0.75}
+    assert [res.status[0] for res in runs] == [
+        1 if final == 0.75 else -1 for final in finals]
 
 
 def test_capped_walk_reports_unresolved():
