@@ -14,7 +14,6 @@ from .diagnostics import (
     ConservationGapTracker,
     DeviationAccumulator,
     deviation_ratio_benchmark,
-    pointwise_proportionality_check,
 )
 from .experiments import (
     ThermalInput,
@@ -78,7 +77,6 @@ __all__ = [
     "normalize",
     "parse_config",
     "parse_config_data",
-    "pointwise_proportionality_check",
     "run_ensemble",
     "run_schrodinger_reference",
     "run_trajectory",

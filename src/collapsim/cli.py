@@ -233,8 +233,7 @@ def _run_eraser(cfg: RunConfig):
     section = cfg.section("eraser")
     sweep = eraser_sweep(section["epsilons"], n_traj=cfg.n_traj,
                          mode=section["mode"], seed=cfg.master_seed,
-                         sign=section["sign"], n_steps=int(section["n_steps"]),
-                         dt=section["dt"])
+                         n_steps=int(section["n_steps"]), dt=section["dt"])
     body = sweep.to_dict()
     body["mode"] = section["mode"]
     body["n_trajectories"] = cfg.n_traj

@@ -36,21 +36,18 @@ __all__ = [
     "ConservationGapTracker",
     "EnergyDeviationTerms",
     "DeviationAccumulator",
-    "proportionality_mismatch_field",
-    "pointwise_proportionality_check",
     "identity_residual",
     "attributed_gap",
     "conservation_block",
     "energy_deviation_terms",
     "deviation_ratio_benchmark",
-    "BenchmarkRatios",
 ]
 
 
-def proportionality_mismatch_field(state: HilbertState, op, increment,
-                                   q_op, dt: float) -> np.ndarray:
+def _mismatch_field(amp, diag, increment, q_op, dt):
     """Pointwise gap between the shifted observable density and the
-    proportional law, at the formal one-step level.
+    proportional law, at the formal one-step level, for the state
+    amplitudes ``amp`` under the collapse diagonal ``diag``.
 
     The shift changes psi* Q psi by
 
@@ -64,12 +61,6 @@ def proportionality_mismatch_field(state: HilbertState, op, increment,
     commutator pieces:
 
         psi* [Q, D] psi dxi + psi* (D Q D - {Q, D^2}/2) psi dt
-    """
-    return _mismatch_field(state.amplitudes, op.diagonal, increment, q_op, dt)
-
-
-def _mismatch_field(amp, diag, increment, q_op, dt):
-    """The mismatch field of ``amp`` under the diagonal ``diag``.
 
     The field is evaluated product by product into buffers made here,
     each in the operand order of the one expression
@@ -118,13 +109,6 @@ def _relative_norm(state: HilbertState, field) -> float:
     total = float(np.sqrt(np.sum(np.abs(field) ** 2) * weight))
     dens = float(np.sqrt(np.sum(np.abs(state.amplitudes) ** 2) * weight))
     return total / dens if dens > 0 else total
-
-
-def pointwise_proportionality_check(state: HilbertState, op, increment,
-                                    q_op, dt: float) -> float:
-    """Norm of the mismatch field, per unit state norm."""
-    return _relative_norm(state, proportionality_mismatch_field(
-        state, op, increment, q_op, dt))
 
 
 class ConservationGapTracker:
@@ -419,35 +403,12 @@ class DeviationAccumulator:
         return float(np.sqrt(self.variance))
 
 
-@dataclass(frozen=True)
-class BenchmarkRatios:
-    """Relativistic comparison scales for a kinetic-energy change."""
-
-    ratio: float          # dKE / (total rest energy)
-    first_order: float    # 3/2 ratio, leading kinetic correction
-    second_order: float   # 5/2 ratio^2, next order
-    radiative: float      # (v/c) ratio, with v from dKE = M v^2 / 2
-    antiparticle: float   # ratio^2, pair-production suppression scale
-
-
-def deviation_ratio_benchmark(delta_ke: float, masses, c: float) -> BenchmarkRatios:
-    """Reference ratios the measured deviation is judged against.
-
-    Pure arithmetic: ratio = dKE / (sum(masses) c^2); the first- and
-    second-order entries carry the 3/2 and 5/2 series coefficients of
-    the kinetic expansion, the radiative entry uses the classical
-    velocity from dKE, and the antiparticle entry is ratio squared.
-    """
+def deviation_ratio_benchmark(delta_ke: float, masses, c: float) -> float:
+    """Ratio dKE / (sum(masses) c^2) the measured deviation is judged
+    against: a kinetic-energy change per unit total rest energy."""
     if delta_ke < 0.0:
         raise ValueError("delta_ke must be nonnegative")
     total_mass = float(np.sum(np.asarray(masses, dtype=float)))
     if total_mass <= 0.0 or c <= 0.0:
         raise ValueError("masses and c must be positive")
-    ratio = delta_ke / (total_mass * c * c)
-    return BenchmarkRatios(
-        ratio=ratio,
-        first_order=1.5 * ratio,
-        second_order=2.5 * ratio * ratio,
-        radiative=np.sqrt(2.0 * ratio) * ratio,
-        antiparticle=ratio * ratio,
-    )
+    return delta_ke / (total_mass * c * c)

@@ -54,14 +54,13 @@ class EraserConfig:
     ``epsilon`` is the aggregated relative amplitude shift of one full
     interaction. ``mode`` is "kick" for the single-factor model or
     "sde" for a resolved stochastic run whose integrated noise has unit
-    variance. ``sign`` fixes the kick direction or randomizes it per
-    trajectory.
+    variance. The kick's statistics are even in its sign: a kick of
+    either sign swaps the two branch amplitudes.
     """
 
     epsilon: float
     n_traj: int = 100_000
     mode: str = "kick"
-    sign: str = "random"
     n_steps: int = 200
     dt: float = 0.01
 
@@ -72,8 +71,6 @@ class EraserConfig:
             raise ValueError("n_traj must be at least 1")
         if self.mode not in ("kick", "sde"):
             raise ValueError("mode must be 'kick' or 'sde', got %r" % (self.mode,))
-        if self.sign not in ("random", "plus", "minus"):
-            raise ValueError("sign must be 'random', 'plus' or 'minus'")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
         if not self.dt > 0.0:
@@ -86,9 +83,9 @@ class EraserResult:
 
     ``correlation_matrix`` holds the mean outcome probabilities indexed
     [target S/A, detector S/A]; the cross probability is the sum of its
-    off-diagonal. Per-trajectory outcome probabilities are computed in
-    closed form and averaged, so only the kick randomness contributes
-    to ``cross_sem``.
+    off-diagonal. Outcome probabilities are computed in closed form:
+    once in kick mode, whose ``cross_sem`` is zero, and per resolved run
+    in sde mode, whose noise alone sets ``cross_sem``.
     """
 
     epsilon: float
@@ -100,14 +97,6 @@ class EraserResult:
 def kick_cross_probability(epsilon: float) -> float:
     """Exact cross probability of a +-epsilon kick on equal branches."""
     return epsilon ** 2 / (1.0 + epsilon ** 2)
-
-
-def _signs(config: EraserConfig, rng) -> np.ndarray:
-    if config.sign == "plus":
-        return np.ones(config.n_traj)
-    if config.sign == "minus":
-        return -np.ones(config.n_traj)
-    return rng.integers(0, 2, size=config.n_traj) * 2.0 - 1.0
 
 
 def _statistics(alpha: np.ndarray, beta: np.ndarray):
@@ -144,11 +133,10 @@ def eraser_run(config: EraserConfig, seed: int = 0) -> EraserResult:
     With epsilon = 0 both modes reduce to the exact basis rewriting and
     the cross probability is identically zero.
     """
-    rng = np.random.default_rng((seed, 0))
     if config.mode == "kick":
-        signs = _signs(config, rng)
-        alpha = BRANCH_AMPLITUDE * (1.0 + signs * config.epsilon)
-        beta = BRANCH_AMPLITUDE * (1.0 - signs * config.epsilon)
+        # every trajectory gives this one row, whatever its kick's sign
+        alpha = BRANCH_AMPLITUDE * (1.0 + config.epsilon)
+        beta = BRANCH_AMPLITUDE * (1.0 - config.epsilon)
     else:
         alpha, beta = _sde_final_amplitudes(config, seed)
     p_same, p_cross = _statistics(alpha, beta)

@@ -8,8 +8,8 @@ full stochastic integrator, whose per-step weight change is Gaussian
 to leading order with standard deviation x (1 - x) K sqrt(2 dt).
 
 Absorption fractions against the starting weight are the discrete
-Born-rule check; the closed-form exit probability with a finite
-barrier quantifies the (tiny) bias the barrier introduces.
+Born-rule check; ``barrier_bias`` gives the (tiny) closed-form bias a
+finite barrier adds to them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "WalkScan",
     "step_increment",
     "matched_step_scale",
-    "exit_probability",
     "barrier_bias",
     "walk_ensemble",
     "born_linearity_scan",
@@ -90,15 +89,12 @@ def matched_step_scale(kappa: float, gamma_value: float, level_splitting: float,
     return kick * np.sqrt(2.0 * dt)
 
 
-def exit_probability(x0: float, barrier: float) -> float:
-    """Chance a martingale walk from x0 stops at the upper barrier."""
-    if not 0.0 <= barrier < 0.5:
-        raise ValueError("barrier must lie in [0, 0.5)")
-    return (x0 - barrier) / (1.0 - 2.0 * barrier)
-
-
 def barrier_bias(x0: float, barrier: float) -> float:
-    """exit_probability(x0) - x0, the finite-barrier Born-rule error."""
+    """The finite-barrier Born-rule error of a walk from x0.
+
+    A martingale walk stops at the upper barrier with chance
+    (x0 - barrier) / (1 - 2 barrier), which is x0 plus this bias.
+    """
     return (2.0 * x0 - 1.0) * barrier / (1.0 - 2.0 * barrier)
 
 

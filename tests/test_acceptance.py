@@ -151,7 +151,8 @@ def test_zero_gain_reduces_to_schrodinger():
     system = cfg.system()
     initial = cfg.initial_state(system.basis)
     icfg = cfg.integrator_config()
-    assert icfg.kappa == 0.0 and icfg.n_steps >= 1000
+    # one particle and no pair: the run has no collapse term at any gain
+    assert system.pairs == () and icfg.n_steps >= 1000
 
     mass, spread = 1.3, 1.0
     checkpoints = {}
@@ -231,7 +232,7 @@ def test_energy_deviation_budget_structure():
     kinetic = record.expectations["kinetic"]
     delta_ke = abs(kinetic[-1] - kinetic[0])
     measured = budget.rms / delta_ke
-    benchmark = deviation_ratio_benchmark(delta_ke, (1.0, 1.5), icfg.c).ratio
+    benchmark = deviation_ratio_benchmark(delta_ke, (1.0, 1.5), icfg.c)
     print("energy budget: min term %.3g, rms/dKE %.4g vs dKE/Mc^2 %.4g "
           "(factor %.2f)" % (min(floor), measured, benchmark,
                              measured / benchmark))

@@ -1,9 +1,7 @@
 """Config parsing: defaults, strict keys, canonical round trips."""
 
 import copy
-import dataclasses
 import json
-import sys
 
 import pytest
 
@@ -12,10 +10,12 @@ from collapsim.cli import main
 from collapsim.config import (
     SCENARIOS,
     ConfigError,
+    _catalog,
+    _deep_merge,
     parse_config,
     parse_config_data,
 )
-from collapsim.integrator import OBSERVABLES, IntegratorConfig
+from collapsim.integrator import OBSERVABLES
 
 
 def test_scenario_required_and_known():
@@ -62,6 +62,19 @@ def test_unknown_key_names_exact_path():
     with pytest.raises(ConfigError) as err:
         parse_config_data({"scenario": "thermal", "termal": {}})
     assert err.value.path == "termal"
+
+
+@pytest.mark.parametrize("data, path", [
+    ({"scenario": "free_packet", "physics": {"charges": [1.0]}}, "physics.charges"),
+    ({"scenario": "two_level_collapse", "levels": {"labels": ["in", "out"]}},
+     "levels.labels"),
+    ({"scenario": "eraser", "eraser": {"sign": "plus"}}, "eraser.sign"),
+], ids=["free_packet", "two_level_collapse", "eraser"])
+def test_key_no_run_reads_exits_2(tmp_path, capsys, data, path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    assert main(["validate", str(config)]) == 2
+    assert "%s: unknown key" % path in capsys.readouterr().err
 
 
 def test_section_must_be_object_when_defaults_are():
@@ -142,7 +155,7 @@ def test_value_range_paths():
          "levels.weight_in"),
         ({"scenario": "free_packet", "ensemble": {"n_traj": 0}},
          "ensemble.n_traj"),
-        ({"scenario": "free_packet", "numerics": {"absorb_threshold": 0.7}},
+        ({"scenario": "grid_scattering", "numerics": {"absorb_threshold": 0.7}},
          "numerics.absorb_threshold"),
         ({"scenario": "free_packet", "output": {"formats": ["yaml"]}},
          "output.formats"),
@@ -170,8 +183,8 @@ def test_value_range_paths():
           "physics": {"potential": {"depth": 0.0}}}, "physics.potential.depth"),
         ({"scenario": "grid_scattering", "physics": {"charges": [0.0, 1.0]}},
          "physics.charges"),
-        ({"scenario": "two_level_collapse", "levels": {"labels": ["a", "a"]}},
-         "levels.labels"),
+        ({"scenario": "two_level_collapse", "levels": {"diagonal": [1.0, 0.0, 0.0]}},
+         "levels.diagonal"),
         ({"scenario": "conservation_suite",
           "angular": {"spectral": {"depth": 0.0}}}, "angular.spectral.depth"),
         ({"scenario": "two_level_collapse", "physics": {"kappa": -1.0}},
@@ -389,65 +402,124 @@ def test_nonfinite_tokens_in_config_file_exit_2(tmp_path, capsys):
     assert not (tmp_path / "art").exists()
 
 
-# small runs of every scenario whose catalog entry has a numerics section
+# A small run of every scenario; the sweep below changes one catalog leaf
+# at a time from it and compares the runner's artifact body.
 _SMALL_RUNS = {
-    "free_packet": {"numerics": {"n_steps": 3}},
-    "grid_scattering": {"numerics": {"n_steps": 3}},
-    "two_level_collapse": {"numerics": {"n_steps": 3}, "ensemble": {"n_traj": 2}},
-    "conservation_suite": {"numerics": {"n_steps": 2}, "grid": {"points_per_axis": 16},
-                           "angular": {"points_per_axis": 8, "n_steps": 2,
-                                       "spectral": {"points_per_axis": 16}}},
+    "free_packet": {"grid": {"points_per_axis": 32},
+                    "numerics": {"n_steps": 4, "record_every": 2}},
+    "grid_scattering": {"grid": {"points_per_axis": 16},
+                        "numerics": {"n_steps": 4, "record_every": 2}},
+    "two_level_collapse": {"ensemble": {"n_traj": 2}},
+    "conservation_suite": {"grid": {"points_per_axis": 8}, "numerics": {"n_steps": 1},
+                           "angular": {"points_per_axis": 8, "n_steps": 1,
+                                       "spectral": {"points_per_axis": 8}}},
+    "eraser": {"eraser": {"n_steps": 10}, "ensemble": {"n_traj": 2}},
+    "walk_scan": {"walk": {"step_scale": 0.5, "weights": [0.3, 0.7]},
+                  "ensemble": {"n_traj": 20}},
+    "thermal": {},
+}
+
+# Leaves that act only when another key is set, each with that setting;
+# the sweep changes them from the small run plus the setting.
+_CONDITIONAL = {
+    # the threshold stops a run only with stop_on_absorb, and stopping
+    # needs a branch weight past the threshold: both small runs start
+    # with a weight near 0.54 (grid) or 0.62 (suite) and stop at once at
+    # the given threshold, not at the changed one
+    ("grid_scattering", "numerics.absorb_threshold"):
+        {"numerics": {"stop_on_absorb": True, "absorb_threshold": 0.47}},
+    ("grid_scattering", "numerics.stop_on_absorb"):
+        {"numerics": {"absorb_threshold": 0.47}},
+    ("conservation_suite", "numerics.absorb_threshold"):
+        {"numerics": {"n_steps": 2, "stop_on_absorb": True, "absorb_threshold": 0.4}},
+    ("conservation_suite", "numerics.stop_on_absorb"):
+        {"numerics": {"n_steps": 2, "absorb_threshold": 0.4}},
+    # only the resolved (sde) runs step in time
+    ("eraser", "eraser.n_steps"): {"eraser": {"mode": "sde"}},
+    ("eraser", "eraser.dt"): {"eraser": {"mode": "sde"}},
+    # the cap stops only walkers still walking when it is reached
+    ("walk_scan", "walk.max_steps"): {"walk": {"max_steps": 10}},
+    # the speed-over-separation estimate stands in for a null collision rate
+    ("thermal", "thermal.mean_speed"): {"thermal": {"collision_rate": None}},
+    ("thermal", "thermal.mean_separation"): {"thermal": {"collision_rate": None}},
+}
+
+# changes of the leaves whose values the rule in _another cannot derive
+_OTHER_VALUES = {
+    "numerics.scheme": "crank_nicolson_stencil",
+    "numerics.record_observables": ["momentum"],
+    "physics.potential.form": "soft_coulomb",
+    "eraser.mode": "sde",
+    "walk.mode": "gaussian",
+    "walk.barrier": 0.05,
 }
 
 
-def _field_reads(monkeypatch, data) -> dict:
-    """Values of each ``IntegratorConfig`` field the scenario's runner
-    reads, outside the config's own validation."""
-    cfg = parse_config_data(data)
-    fields = {f.name for f in dataclasses.fields(IntegratorConfig)}
-    plain = object.__getattribute__
-    reads = {}
-
-    def recording(self, name):
-        value = plain(self, name)
-        if name in fields and sys._getframe(1).f_code.co_name != "__post_init__":
-            reads.setdefault(name, set()).add(value)
-        return value
-
-    with monkeypatch.context() as patch:
-        patch.setattr(IntegratorConfig, "__getattribute__", recording)
-        cli._RUNNERS[cfg.scenario](cfg)
-    return reads
+def _leaves(tree, path=""):
+    for key, value in tree.items():
+        here = "%s.%s" % (path, key) if path else key
+        if isinstance(value, dict):
+            yield from _leaves(value, here)
+        else:
+            yield here
 
 
-def _another(key, value):
+def _another(path, value):
+    """A valid value of the leaf at ``path`` other than ``value``."""
+    if path in _OTHER_VALUES:
+        return _OTHER_VALUES[path]
     if isinstance(value, bool):
         return not value
-    if key == "scheme":
-        return ("split_step_spectral" if value == "crank_nicolson_stencil"
-                else "crank_nicolson_stencil")
-    if key == "record_observables":
-        return ["momentum"] if value != ["momentum"] else ["kinetic"]
+    if isinstance(value, list):
+        return [_another(path, v) for v in value]
     if isinstance(value, int):
-        return value + 1
-    return value / 2
+        # grid point counts are powers of two
+        return 2 * value if path.endswith("points_per_axis") else value + 1
+    return 0.9 * value if value else 0.5
 
 
-def test_every_catalog_numerics_key_is_read_by_its_run(monkeypatch):
-    # changing any numerics key of a scenario changes what its run reads
-    # of the IntegratorConfig field of that name; a key the run ignores
-    # or overrides would validate and only move the config hash
-    with_numerics = [s for s in SCENARIOS
-                     if "numerics" in parse_config_data({"scenario": s}).data]
-    assert sorted(_SMALL_RUNS) == sorted(with_numerics)
-    fields = {f.name for f in dataclasses.fields(IntegratorConfig)}
+def _changed(start, path):
+    """``start`` with the leaf at ``path`` changed."""
+    data = parse_config_data(start).data
+    value = data
+    for key in path.split("."):
+        value = value[key]
+    *parents, leaf = path.split(".")
+    patch = {leaf: _another(path, value)}
+    for key in reversed(parents):
+        patch = {key: patch}
+    if path == "grid.dims":
+        # a planar packet has a second coordinate per particle
+        patch["initial"] = {key: [x for v in values for x in (v, v if key == "widths" else 0.0)]
+                            for key, values in data["initial"].items()}
+    return _deep_merge(start, patch)
+
+
+def _body(data) -> str:
+    cfg = parse_config_data(data)
+    body, _ = cli._RUNNERS[cfg.scenario](cfg)
+    return json.dumps(cli._jsonable(body), sort_keys=True)
+
+
+def test_every_catalog_leaf_changes_its_run():
+    # a key its run ignores would validate and only move the config hash.
+    # Not swept: backend (a label; only the scenario's own is accepted),
+    # output (where the artifacts go) and ensemble (the envelope and the
+    # summary line carry it, and --seed and --traj write it).
+    assert sorted(_SMALL_RUNS) == sorted(SCENARIOS)
+    catalog = _catalog()
+    swept, idle = set(), []
     for scenario, small in _SMALL_RUNS.items():
         base = dict(copy.deepcopy(small), scenario=scenario)
-        numerics = parse_config_data(base).data["numerics"]
-        reads = _field_reads(monkeypatch, base)
-        for key, value in numerics.items():
-            assert key in fields, (scenario, key)
-            changed = copy.deepcopy(base)
-            changed["numerics"][key] = _another(key, value)
-            assert key in reads, (scenario, key)
-            assert _field_reads(monkeypatch, changed).get(key) != reads[key], (scenario, key)
+        base_body = _body(base)
+        for path in _leaves(catalog[scenario]):
+            if path == "backend" or path.split(".")[0] in ("output", "ensemble"):
+                continue
+            swept.add((scenario, path))
+            setting = _CONDITIONAL.get((scenario, path))
+            start = base if setting is None else _deep_merge(base, setting)
+            before = base_body if setting is None else _body(start)
+            if _body(_changed(start, path)) == before:
+                idle.append((scenario, path))
+    assert set(_CONDITIONAL) <= swept
+    assert idle == []

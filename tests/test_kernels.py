@@ -35,12 +35,7 @@ from collapsim.collapse import (
     rate_denominator,
     rate_numerator,
 )
-from collapsim.diagnostics import (
-    energy_deviation_terms,
-    identity_residual,
-    pointwise_proportionality_check,
-    proportionality_mismatch_field,
-)
+from collapsim.diagnostics import _mismatch_field, energy_deviation_terms, identity_residual
 from collapsim.integrator import SCHEMES as STEP_SCHEMES
 from collapsim.integrator import GridSystem, IntegratorConfig, UnitaryStepper, run_trajectory
 from collapsim.operators import (
@@ -469,7 +464,8 @@ def test_mismatch_field_equals_the_one_expression(name, scheme):
     op = collapse_sum(state, pairs, kappa=1.3, c=2.0, scheme=scheme)
     for q_op in _observables(state.basis, scheme) + [IdentityOperator()]:
         for increment in (MISMATCH_INCREMENT, 0.0):
-            got = proportionality_mismatch_field(state, op, increment, q_op, MISMATCH_DT)
+            got = _mismatch_field(state.amplitudes, op.diagonal, increment, q_op,
+                                  MISMATCH_DT)
             ref = _reference_mismatch_field(state, op, increment, q_op, MISMATCH_DT)
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert np.array_equal(got.view(np.float64), ref.view(np.float64)), \
@@ -496,8 +492,8 @@ def test_identity_check_writes_no_input(name, scheme, monkeypatch):
     state_bits = _bits(state.amplitudes)
     observables = _observables(state.basis, scheme) + [_SchemedIdentity(scheme)]
     for q_op in observables:
-        proportionality_mismatch_field(state, op, MISMATCH_INCREMENT, q_op, MISMATCH_DT)
-        pointwise_proportionality_check(state, op, MISMATCH_INCREMENT, q_op, MISMATCH_DT)
+        _mismatch_field(state.amplitudes, op.diagonal, MISMATCH_INCREMENT, q_op,
+                        MISMATCH_DT)
         identity_residual(system, state, q_op, config)
     assert len(built) == 1 + len(observables)
     assert _bits(state.amplitudes) == state_bits

@@ -8,7 +8,6 @@ from collapsim.walk import (
     WalkConfig,
     barrier_bias,
     born_linearity_scan,
-    exit_probability,
     matched_step_scale,
     step_count_estimate,
     step_increment,
@@ -52,19 +51,18 @@ def test_matched_step_scale_formula():
 
 
 def test_exit_probability_closed_form():
-    assert exit_probability(0.5, 0.1) == pytest.approx(0.5)
-    assert exit_probability(0.1, 0.1) == 0.0
-    assert exit_probability(0.9, 0.1) == pytest.approx(1.0)
-    assert exit_probability(0.3, 0.0) == pytest.approx(0.3)
-    with pytest.raises(ValueError):
-        exit_probability(0.5, 0.6)
+    # the chance of stopping at the upper barrier is x0 + barrier_bias
+    assert 0.5 + barrier_bias(0.5, 0.1) == pytest.approx(0.5)
+    assert 0.1 + barrier_bias(0.1, 0.1) == pytest.approx(0.0, abs=1e-15)
+    assert 0.9 + barrier_bias(0.9, 0.1) == pytest.approx(1.0)
+    assert 0.3 + barrier_bias(0.3, 0.0) == 0.3
 
 
 def test_barrier_bias_consistent_and_monotone():
     for x0 in (0.2, 0.35, 0.5, 0.8):
         for theta in (0.0, 0.01, 0.05):
             assert barrier_bias(x0, theta) == pytest.approx(
-                exit_probability(x0, theta) - x0, abs=1e-15)
+                (x0 - theta) / (1.0 - 2.0 * theta) - x0, abs=1e-15)
     assert barrier_bias(0.5, 0.1) == 0.0
     # bias magnitude grows with the barrier, sign follows the start side
     biases = [abs(barrier_bias(0.3, th)) for th in (0.01, 0.02, 0.05, 0.1)]
@@ -221,7 +219,7 @@ def test_absorption_fraction_tracks_barrier_bias():
     res = walk_ensemble(0.3, 40_000, cfg, seed=11)
     assert res.fraction_unresolved == 0.0
     sigma = res.binomial_sigma()
-    assert abs(res.fraction_upper - exit_probability(0.3, 0.05)) < 4 * sigma
+    assert abs(res.fraction_upper - 0.3 - barrier_bias(0.3, 0.05)) < 4 * sigma
     # and the unbiased value 0.3 is excluded
     assert abs(res.fraction_upper - 0.3) > 4 * sigma
 

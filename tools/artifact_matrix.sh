@@ -3,10 +3,11 @@
 #
 #     tools/artifact_matrix.sh OUT_DIR
 #
-# Runs the CLI from this checkout's src on 21 cases, one subdirectory
+# Runs the CLI from this checkout's src on 22 cases, one subdirectory
 # each: the four bench configs at seeds 1, 2 and 3; the defaults of
 # free_packet, grid_scattering, two_level_collapse (--traj 200), eraser,
-# thermal and walk-scan (--traj 10000); and conserve at seeds 2, 3 and 5.
+# thermal and walk-scan (--traj 10000); the eraser in sde mode
+# (--traj 20); and conserve at seeds 2, 3 and 5.
 # BLAS and OpenMP run on one thread so the bytes do not depend on the
 # thread count. Two checkouts' OUT_DIRs compare with `diff -r`.
 set -eu
@@ -43,6 +44,8 @@ done
 echo '{"scenario": "two_level_collapse"}' > "$CONFIGS/two_level_collapse.json"
 run two_level_collapse run "$CONFIGS/two_level_collapse.json" --traj 200
 run eraser eraser
+echo '{"scenario": "eraser", "eraser": {"mode": "sde"}}' > "$CONFIGS/eraser_sde.json"
+run eraser_sde eraser "$CONFIGS/eraser_sde.json" --traj 20
 run thermal thermal
 run walk_scan walk-scan --traj 10000
 for seed in 2 3 5; do
