@@ -14,11 +14,12 @@ finite system gives its rate and energy explicitly, because labeled
 bases carry no derivatives.
 
 ``collapse_sum`` builds the one operator of a grid state, summed over
-its pairs. Per pair it takes the state's <V> once and computes the rate
-as ``rate_numerator`` / ``rate_denominator`` at that <V>. The potential
-and its derivatives come from the pair's ``PairGeometry``; a run passes
-its own so the fields are computed once, and a call without one builds
-a throwaway geometry per pair.
+its pairs. Per pair it takes the state's <V> once, to test for a
+degenerate overlap and to centre V; both halves of the rate
+``rate_numerator`` / ``rate_denominator`` read x = V psi alone. The
+potential and its derivatives come from the pair's ``PairGeometry``; a
+run passes its own so the fields are computed once, and a call without
+one builds a throwaway geometry per pair.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import numpy as np
 
 from .operators import InteractionPair, PairGeometry, derivative1
-from .state import GridBasis, HilbertState, _density_mean, normalize
+from .state import GridBasis, HilbertState, _density_mean
 
 __all__ = [
     "CollapseOperator",
@@ -77,44 +78,48 @@ def rate_numerator(state: HilbertState, pair: InteractionPair, scheme: str,
 
 
 def _relative_derivative(basis, pair, amp, d, scheme):
-    # mass-weighted relative coordinate derivative: moves the pair apart
-    # while leaving the center of mass fixed
+    # mass-weighted relative derivative (mk dj - mj dk) / (mj + mk), formed in
+    # place: it moves the pair apart and leaves the center of mass fixed
     h = basis.grid.spacing
     mj = basis.particles[pair.j].mass
     mk = basis.particles[pair.k].mass
-    total = mj + mk
-    dj = derivative1(amp, basis.particle_axis(pair.j, d), h, scheme)
+    out = derivative1(amp, basis.particle_axis(pair.j, d), h, scheme)
+    out *= mk
     dk = derivative1(amp, basis.particle_axis(pair.k, d), h, scheme)
-    return (mk * dj - mj * dk) / total
+    dk *= mj
+    out -= dk
+    out /= mj + mk
+    return out
 
 
 def _radial_second_derivative(basis, pair, amp, scheme, geometry):
     """(rhat . grad_rel)^2 psi; isotropic average where r = 0."""
     dims = basis.grid.dims
-    if dims == 1:
-        first = _relative_derivative(basis, pair, amp, 0, scheme)
-        return _relative_derivative(basis, pair, first, 0, scheme)
     comps, u = geometry.separation, geometry.u
     firsts = [_relative_derivative(basis, pair, amp, d, scheme) for d in range(dims)]
-    out = np.zeros(basis.shape, dtype=np.complex128)
-    trace = np.zeros(basis.shape, dtype=np.complex128)
     safe_u = np.where(u > 0, u, 1.0)
+    out = trace = None
     for d in range(dims):
-        for e in range(dims):
+        for e in range(d, dims):
             second = _relative_derivative(basis, pair, firsts[e], d, scheme)
-            out += (comps[d] * comps[e] / safe_u) * second
-            if d == e:
-                trace += second
-    return np.where(np.broadcast_to(u > 0, out.shape), out, trace / dims)
+            # the Hessian is symmetric: an off-diagonal term counts twice
+            term = ((1.0 if d == e else 2.0) * comps[d] * comps[e] / safe_u) * second
+            if out is None:
+                out, trace = term, second
+            else:
+                out += term
+                if d == e:
+                    trace += second
+    return np.where(u > 0, out, trace / dims)
 
 
 def rate_denominator(state: HilbertState, pair: InteractionPair, scheme: str,
-                     geometry: PairGeometry, mean: float) -> float:
-    """Energy bound on the interaction-weighted component at <V> = ``mean``.
+                     geometry: PairGeometry) -> float:
+    """Energy bound on the interaction-weighted component (V/<V>) psi.
 
-    Positive (repulsive) potentials: interaction energy plus the
-    relative-coordinate radial term
-    integral psi* [V psi - (1/mu) d^2 psi/dr^2], mu = mj mk/(mj+mk).
+    Positive (repulsive) potentials: interaction energy plus the relative
+    radial term, <x|V x - (1/mu) d^2 x/dr^2> / <x|x> over the numerator's
+    x = V psi, mu = mj mk/(mj+mk); the sign of <V> and the norm cancel.
     Negative (attractive) potentials: the energy scale of the deepest
     available state, bounded by the sup norm of |V + L^2/r^2|; with
     L = 0 that is the well depth at contact.
@@ -122,14 +127,12 @@ def rate_denominator(state: HilbertState, pair: InteractionPair, scheme: str,
     if pair.potential.sign < 0:
         return pair.potential.max_magnitude()
     basis = state.basis
-    comp = normalize(state.with_amplitudes((geometry.values / mean) * state.amplitudes))
-    amp = comp.amplitudes
+    x = geometry.values * state.amplitudes
     mj = basis.particles[pair.j].mass
     mk = basis.particles[pair.k].mass
     mu = mj * mk / (mj + mk)
-    radial = _radial_second_derivative(basis, pair, amp, scheme, geometry)
-    integrand = amp.conj() * (geometry.values * amp - radial / mu)
-    return float(integrand.sum().real * basis.weight)
+    radial = _radial_second_derivative(basis, pair, x, scheme, geometry)
+    return float(np.vdot(x, geometry.values * x - radial / mu).real / np.vdot(x, x).real)
 
 
 class CollapseOperator:
@@ -192,7 +195,7 @@ def collapse_sum(state, pairs, kappa=1.0, c=1.0, scheme="spectral",
         gamma = 0.0
         if kappa and not abs(mean) <= DEGENERATE_RTOL * pair.potential.max_magnitude():
             num = rate_numerator(state, pair, scheme, fields)
-            den = rate_denominator(state, pair, scheme, fields, mean)
+            den = rate_denominator(state, pair, scheme, fields)
             # an unbound ratio has no collapse interpretation; treat as off
             if den > 0:
                 gamma = num / den

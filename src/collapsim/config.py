@@ -56,7 +56,9 @@ __all__ = [
 #    never read, so their config hashes move; kick-mode eraser statistics
 #    are evaluated once, not averaged over identical rows, and move at
 #    rounding level
-ARTIFACT_VERSION = 10
+# 11: the repulsive rate denominator is a quadratic form over V psi with a
+#    symmetric Hessian; repulsive grid numbers move at rounding level
+ARTIFACT_VERSION = 11
 
 SCENARIOS = (
     "free_packet",
@@ -371,7 +373,7 @@ def _validate(cfg: RunConfig) -> None:
 
     if scenario in _GRID_PARTICLES:
         # a grid GridSpec rejects as a whole is reported at its section
-        with _reported("grid", {"extent": "grid.extent",
+        with _reported("grid", {"dims": "grid.dims", "extent": "grid.extent",
                                 "particle": "physics.masses"}):
             basis = cfg.grid_basis()
         n_particles = _GRID_PARTICLES[scenario]

@@ -81,15 +81,13 @@ class EraserConfig:
 class EraserResult:
     """Outcome statistics of one eraser ensemble.
 
-    ``correlation_matrix`` holds the mean outcome probabilities indexed
-    [target S/A, detector S/A]; the cross probability is the sum of its
-    off-diagonal. Outcome probabilities are computed in closed form:
-    once in kick mode, whose ``cross_sem`` is zero, and per resolved run
-    in sde mode, whose noise alone sets ``cross_sem``.
+    ``cross_term_probability`` is the mean probability that target and
+    detector disagree (SA or AS). Outcome probabilities are computed in
+    closed form: once in kick mode, whose ``cross_sem`` is zero, and per
+    resolved run in sde mode, whose noise alone sets ``cross_sem``.
     """
 
     epsilon: float
-    correlation_matrix: np.ndarray
     cross_term_probability: float
     cross_sem: float
 
@@ -139,15 +137,11 @@ def eraser_run(config: EraserConfig, seed: int = 0) -> EraserResult:
         beta = BRANCH_AMPLITUDE * (1.0 - config.epsilon)
     else:
         alpha, beta = _sde_final_amplitudes(config, seed)
-    p_same, p_cross = _statistics(alpha, beta)
-    matrix = np.array([
-        [float(np.mean(p_same)), float(np.mean(p_cross))],
-        [float(np.mean(p_cross)), float(np.mean(p_same))],
-    ])
+    _, p_cross = _statistics(alpha, beta)
     cross = float(2.0 * np.mean(p_cross))
     sem = float(2.0 * np.std(p_cross) / np.sqrt(config.n_traj))
-    return EraserResult(epsilon=config.epsilon, correlation_matrix=matrix,
-                        cross_term_probability=cross, cross_sem=sem)
+    return EraserResult(epsilon=config.epsilon, cross_term_probability=cross,
+                        cross_sem=sem)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ class GridSpec:
     Parameters
     ----------
     dims : int
-        Spatial dimensions per particle (1, 2 or 3).
+        Spatial dimensions per particle (1 or 2).
     points_per_axis : int
         Grid points along each axis: a power of two, at least 8.
     extent : float
@@ -77,8 +77,8 @@ class GridSpec:
     extent: float
 
     def __post_init__(self):
-        if self.dims not in (1, 2, 3):
-            raise ValueError("dims must be 1, 2 or 3, got %d" % self.dims)
+        if self.dims not in (1, 2):
+            raise ValueError("dims must be 1 or 2, got %d" % self.dims)
         n = self.points_per_axis
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(

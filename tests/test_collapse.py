@@ -81,11 +81,7 @@ def _numerator(psi, pair, scheme="spectral"):
 
 
 def _denominator(psi, pair, scheme="spectral"):
-    # at the state's <V>, taken here
-    geometry = PairGeometry(psi.basis, pair)
-    dens = psi.density()
-    mean = (dens * geometry.values).sum() / dens.sum()
-    return rate_denominator(psi, pair, scheme, geometry, mean)
+    return rate_denominator(psi, pair, scheme, PairGeometry(psi.basis, pair))
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,8 @@ def test_value_range_paths():
           "levels": {"energy_denominator": -2.0}}, "levels.energy_denominator"),
         # every scenario runs on its own backend only
         ({"scenario": "grid_scattering", "backend": "finite"}, "backend"),
+        # no run steps a 3-D grid
+        ({"scenario": "grid_scattering", "grid": {"dims": 3}}, "grid.dims"),
         # a packet centred off its box has no density on the grid
         ({"scenario": "free_packet", "initial": {"centers": [1e9]}},
          "initial.centers"),

@@ -4,11 +4,14 @@ The stencil derivatives must equal the ``np.roll`` differences written
 here (``np.array_equal``: only an exact zero may differ in sign), and
 the grid operators a sum accumulated into zeros from the library's
 derivatives. The spectral derivatives are compared with an FFT
-derivative written here. ``_reference_rate_numerator`` and
-``_reference_energy_deviation_terms`` evaluate the rate and the energy
-budget as sums over integrand fields, with every derivative taken by
-the reference derivative, so the library's inner-product reductions and
-its matrix derivatives are both checked. The reductions reorder sums,
+derivative written here. ``_reference_rate_numerator``,
+``_reference_rate_denominator`` and ``_reference_energy_deviation_terms``
+evaluate the rate and the energy budget as sums over integrand fields,
+with every derivative taken by the reference derivative, so the
+library's inner-product reductions and its matrix derivatives are both
+checked. The reference denominator keeps the normalized (V/<V>) psi and
+the full dims^2 Hessian, against the library's quadratic form over
+V psi and its symmetric contraction. The reductions reorder sums,
 so that agreement is to a tolerance a few hundred roundings wide, not
 bitwise.
 
@@ -28,7 +31,7 @@ form may write into the state or the collapse operators.
 import numpy as np
 import pytest
 
-from collapsim import diagnostics
+from collapsim import collapse, diagnostics
 from collapsim.collapse import (
     collapse_from_diagonal,
     collapse_sum,
@@ -210,6 +213,41 @@ def _reference_rate_numerator(state, pair, scheme):
     return float(abs(integral))
 
 
+def _reference_rate_denominator(state, pair, scheme):
+    basis = state.basis
+    geometry = PairGeometry(basis, pair)
+    # the normalized interaction-weighted component, as for the numerator
+    dens = state.density()
+    mean = (dens * geometry.values).sum() / dens.sum()
+    comp = normalize(state.with_amplitudes((geometry.values / mean) * state.amplitudes))
+    amp = comp.amplitudes
+    h = basis.grid.spacing
+    mj = basis.particles[pair.j].mass
+    mk = basis.particles[pair.k].mass
+    mu = mj * mk / (mj + mk)
+
+    def relative(arr, d):
+        dj = _reference_derivative(arr, basis.particle_axis(pair.j, d), h, scheme)
+        dk = _reference_derivative(arr, basis.particle_axis(pair.k, d), h, scheme)
+        return (mk * dj - mj * dk) / (mj + mk)
+
+    # (rhat . grad_rel)^2 over the full Hessian, its isotropic average at r = 0
+    dims = basis.grid.dims
+    u = geometry.u
+    safe_u = np.where(u > 0, u, 1.0)
+    radial = np.zeros(basis.shape, dtype=np.complex128)
+    trace = np.zeros(basis.shape, dtype=np.complex128)
+    for d in range(dims):
+        for e in range(dims):
+            second = relative(relative(amp, e), d)
+            radial += geometry.separation[d] * geometry.separation[e] / safe_u * second
+            if d == e:
+                trace += second
+    radial = np.where(u > 0, radial, trace / dims)
+    integrand = amp.conj() * (geometry.values * amp - radial / mu)
+    return float(integrand.sum().real * basis.weight)
+
+
 def _reference_energy_deviation_terms(state, op, kappa, c, scheme):
     basis = state.basis
     amp = state.amplitudes
@@ -254,6 +292,44 @@ def test_rate_numerator_matches_the_field_sum(name, scheme):
         assert ref > 0.0
         geometry = PairGeometry(state.basis, pair)
         assert _close(rate_numerator(state, pair, scheme, geometry), ref), pair
+
+
+def _repulsive_pairs():
+    # the planar pair under two repulsive potentials, and the line's repulsive pair
+    _, planar, _ = _planar_pair()
+    _, line, line_pairs = _three_in_a_line()
+    return [(planar, InteractionPair(0, 1, SoftCoulomb(1.0, 0.5))),
+            (planar, InteractionPair(0, 1, GaussianWell(1.2, 0.8))),
+            (line, line_pairs[1])]
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "stencil"])
+def test_rate_denominator_matches_the_full_hessian_form(scheme):
+    for state, pair in _repulsive_pairs():
+        geometry = PairGeometry(state.basis, pair)
+        # the isotropic average is reached
+        assert np.any(geometry.u == 0.0)
+        ref = _reference_rate_denominator(state, pair, scheme)
+        assert ref > 0.0
+        assert _close(rate_denominator(state, pair, scheme, geometry), ref), pair
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "stencil"])
+def test_rate_denominator_contracts_the_symmetric_hessian(monkeypatch, scheme):
+    # dims first relative derivatives, dims (dims + 1) / 2 second ones,
+    # two derivative1 calls each
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return derivative1(*args, **kwargs)
+
+    monkeypatch.setattr(collapse, "derivative1", counted)
+    for (state, pair), expected in zip(_repulsive_pairs(), (10, 10, 4), strict=True):
+        geometry = PairGeometry(state.basis, pair)
+        calls.clear()
+        rate_denominator(state, pair, scheme, geometry)
+        assert len(calls) == expected, pair
 
 
 @pytest.mark.parametrize("scheme", ["spectral", "stencil"])
@@ -384,7 +460,7 @@ def test_collapse_operator_equals_the_public_rate_form(name, scheme):
         dens = state.density()
         mean = float((dens * v).sum() * basis.weight / (dens.sum() * basis.weight))
         gamma = (rate_numerator(state, pair, scheme, geometry)
-                 / rate_denominator(state, pair, scheme, geometry, mean))
+                 / rate_denominator(state, pair, scheme, geometry))
         e_den = (basis.particles[pair.j].mass + basis.particles[pair.k].mass) * c * c
         scaled = (kappa * np.sqrt(gamma) / e_den) * (v - mean)
         assert term[:2] == (pair, gamma)
