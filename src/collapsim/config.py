@@ -58,7 +58,12 @@ __all__ = [
 #    rounding level
 # 11: the repulsive rate denominator is a quadratic form over V psi with a
 #    symmetric Hessian; repulsive grid numbers move at rounding level
-ARTIFACT_VERSION = 11
+# 12: free_packet, two_level_collapse, grid_scattering and
+#    conservation_suite drop the keys every run gave one value
+#    (numerics.renormalize, real_noise, stop_on_absorb and, where no run
+#    absorbs, absorb_threshold; physics.charges); only their config
+#    hashes move
+ARTIFACT_VERSION = 12
 
 SCENARIOS = (
     "free_packet",
@@ -84,7 +89,6 @@ _COMMON_OUTPUT = {"directory": "out", "formats": ["json", "csv"]}
 def _catalog() -> dict:
     scattering_physics = {
         "masses": [1.0, 1.5],
-        "charges": [1.0, 1.0],
         "c": 28.284271247461902,   # puts |V| / (M c^2) near 1e-3
         "kappa": 1.0,
         "potential": {"form": "gaussian_well", "depth": -2.0, "width": 1.0},
@@ -99,13 +103,12 @@ def _catalog() -> dict:
             "backend": "grid",
             "grid": {"dims": 1, "points_per_axis": 256, "extent": 16.0},
             # one particle and no pair: no collapse term, so no gain,
-            # charge, light speed or branch test
+            # light speed or branch test
             "physics": {"masses": [1.3]},
             "initial": {"centers": [0.0], "widths": [1.0], "momenta": [0.7]},
             "numerics": {
                 "dt": 0.002, "n_steps": 1000, "scheme": "split_step_spectral",
-                "record_every": 20, "renormalize": True,
-                "record_observables": ["momentum", "kinetic"],
+                "record_every": 20, "record_observables": ["momentum", "kinetic"],
             },
             "ensemble": {"n_traj": 1, "master_seed": 0},
             "output": dict(_COMMON_OUTPUT),
@@ -121,7 +124,6 @@ def _catalog() -> dict:
             "physics": {"kappa": 1.0},
             "numerics": {
                 "dt": 0.05, "n_steps": 600, "record_every": 5, "absorb_threshold": 1e-3,
-                "stop_on_absorb": True, "renormalize": True, "real_noise": False,
             },
             "ensemble": {"n_traj": 10000, "master_seed": 0},
             "output": dict(_COMMON_OUTPUT),
@@ -133,8 +135,7 @@ def _catalog() -> dict:
             "initial": dict(scattering_initial),
             "numerics": {
                 "dt": 0.003, "n_steps": 200, "scheme": "split_step_spectral",
-                "record_every": 5, "absorb_threshold": 1e-3,
-                "stop_on_absorb": False, "renormalize": True, "real_noise": False,
+                "record_every": 5,
                 "record_observables": ["momentum", "kinetic", "energy"],
             },
             "ensemble": {"n_traj": 1, "master_seed": 0},
@@ -168,7 +169,6 @@ def _catalog() -> dict:
             "grid": {"dims": 1, "points_per_axis": 64, "extent": 8.0},
             "physics": {
                 "masses": [1.0, 1.5],
-                "charges": [1.0, 1.0],
                 "c": 1.0,
                 "kappa": 1.0,
                 "potential": {"form": "gaussian_well", "depth": -2.0, "width": 1.0},
@@ -176,8 +176,7 @@ def _catalog() -> dict:
             "initial": dict(scattering_initial),
             "numerics": {
                 # the suite's runs set their own scheme and recording
-                "dt": 0.003, "n_steps": 40, "absorb_threshold": 1e-3,
-                "stop_on_absorb": False, "renormalize": True, "real_noise": False,
+                "dt": 0.003, "n_steps": 40,
             },
             "angular": {
                 # grazing collision; the impact offset keeps the angular
@@ -242,9 +241,9 @@ def _check_tree(user, known, path=""):
 
     Where the default is a number the leaf must be a finite number, never
     a bool; where it is an int, an integer of at least 1 (at least 0 when
-    the default is 0: catalog ints are counts and seeds). A bool or string
-    default asks for the same type, and a list default for a list of its
-    first entry's type.
+    the default is 0: catalog ints are counts and seeds). A string default
+    asks for a string, and a list default for a list of its first entry's
+    type.
     """
     for key, value in user.items():
         here = "%s.%s" % (path, key) if path else key
@@ -266,10 +265,9 @@ def _check_leaf(value, default, path):
             raise ConfigError(path, "expected a list, got %r" % (value,))
         for item in value if default else ():
             _check_leaf(item, default[0], path)
-    elif isinstance(default, (bool, str)):
-        if type(value) is not type(default):
-            raise ConfigError(path, "expected %s, got %r" % (
-                "true or false" if isinstance(default, bool) else "a string", value))
+    elif isinstance(default, str):
+        if not isinstance(value, str):
+            raise ConfigError(path, "expected a string, got %r" % (value,))
     elif value is None and path in _NULLABLE:
         return
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -378,10 +376,7 @@ def _validate(cfg: RunConfig) -> None:
             basis = cfg.grid_basis()
         n_particles = _GRID_PARTICLES[scenario]
         n_axes = basis.grid.dims * n_particles
-        pot = tree["physics"].get("potential")
-        # only a pair's strength reads the charges
-        charges = (("physics.charges", n_particles),) if pot is not None else ()
-        for path, length in (("physics.masses", n_particles), *charges,
+        for path, length in (("physics.masses", n_particles),
                              ("initial.centers", n_axes),
                              ("initial.widths", n_axes),
                              ("initial.momenta", n_axes)):
@@ -390,13 +385,12 @@ def _validate(cfg: RunConfig) -> None:
                                   % (length, len(_get(tree, path))))
         _positive(tree, "initial.widths")
         _inside_box(tree, "initial.centers", basis.grid.extent)
+        pot = tree["physics"].get("potential")
         if pot is not None:
-            # the pair strength is the charges' product times the form's
+            # a Gaussian well's strength is its depth
             key = "depth" if pot["form"] == "gaussian_well" else "strength"
-            strength = ("physics.potential." + key if pot[key] == 0
-                        else "physics.charges")
             with _reported("physics.potential", _fields(
-                    tree, "physics.potential", strength=strength)):
+                    tree, "physics.potential", strength="physics.potential." + key)):
                 cfg.pairs()
 
     if "numerics" in tree:
@@ -533,11 +527,10 @@ class RunConfig:
         if "potential" not in physics:
             return []
         pot = physics["potential"]
-        coupling = float(np.prod(physics["charges"]))
         if pot["form"] == "gaussian_well":
-            potential = GaussianWell(coupling * pot["depth"], pot["width"])
+            potential = GaussianWell(float(pot["depth"]), pot["width"])
         else:
-            potential = SoftCoulomb(coupling * pot["strength"], pot["softening"])
+            potential = SoftCoulomb(float(pot["strength"]), pot["softening"])
         return [InteractionPair(0, 1, potential)]
 
     def system(self, points: int | None = None) -> GridSystem:

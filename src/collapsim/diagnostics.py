@@ -11,7 +11,7 @@ deviates, with the strictly positive squared-gradient piece kept
 separate from the cross terms.
 
 All expectations here are normalized by the state norm, so the checks
-are insensitive to whether the caller renormalizes between steps.
+hold for a state of any norm.
 
 ``attributed_gap`` and ``identity_residual`` are the two measurements
 of the conservation suite, and ``conservation_block`` runs one of its

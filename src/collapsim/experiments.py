@@ -98,14 +98,12 @@ def kick_cross_probability(epsilon: float) -> float:
 
 
 def _statistics(alpha: np.ndarray, beta: np.ndarray):
-    """Per-run S/A outcome probabilities for amplitudes on II and OO."""
-    ss = 0.5 * np.abs(alpha + beta) ** 2
+    """Per-run probability of one S/A cross outcome (SA or AS) for
+    amplitudes on II and OO."""
     sa = 0.5 * np.abs(alpha - beta) ** 2
     norm = np.abs(alpha) ** 2 + np.abs(beta) ** 2
-    # SS and AA collect (alpha+beta)/2 each, SA and AS (alpha-beta)/2
-    p_same = 0.5 * ss / norm
-    p_cross = 0.5 * sa / norm
-    return p_same, p_cross
+    # SA and AS collect (alpha-beta)/2 each
+    return 0.5 * sa / norm
 
 
 def _sde_final_amplitudes(config: EraserConfig, seed: int):
@@ -119,7 +117,7 @@ def _sde_final_amplitudes(config: EraserConfig, seed: int):
                           energy_denominator=1.0)
     run_cfg = IntegratorConfig(
         dt=config.dt, n_steps=config.n_steps, kappa=2.0 * config.epsilon,
-        real_noise=True, stop_on_absorb=False, record_every=config.n_steps)
+        real_noise=True, record_every=config.n_steps)
     finals = np.array([run_trajectory(system, initial, run_cfg, seed=seed + i)
                        .final_state.amplitudes for i in range(config.n_traj)])
     return finals[:, 0], finals[:, 3]
@@ -137,7 +135,7 @@ def eraser_run(config: EraserConfig, seed: int = 0) -> EraserResult:
         beta = BRANCH_AMPLITUDE * (1.0 - config.epsilon)
     else:
         alpha, beta = _sde_final_amplitudes(config, seed)
-    _, p_cross = _statistics(alpha, beta)
+    p_cross = _statistics(alpha, beta)
     cross = float(2.0 * np.mean(p_cross))
     sem = float(2.0 * np.std(p_cross) / np.sqrt(config.n_traj))
     return EraserResult(epsilon=config.epsilon, cross_term_probability=cross,

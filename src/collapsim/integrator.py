@@ -7,7 +7,7 @@ deterministic unitary sub-step:
     psi -> psi + D psi dxi - (1/2) D^2 psi dt        (shift, D diagonal)
     psi -> U(dt) psi                                  (unitary)
 
-followed by optional renormalization. D is the diagonal of the one
+followed by renormalization. D is the diagonal of the one
 collapse operator handed to the step, summed over the system's pairs.
 When D is exactly zero (kappa = 0), or the system has no pairs, a run
 hands the step no operator and draws no increment, so such runs are
@@ -127,11 +127,14 @@ class FiniteSystem:
         self.values.flags.writeable = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegratorConfig:
     """Step size, scheme, recording and collapse gain of one run.
 
-    The physics of what is stepped lives in the run's system.
+    The physics of what is stepped lives in the run's system. A run
+    stops on absorption exactly when it has an ``absorb_threshold``
+    theta: at the first step whose branch weight reaches theta or
+    1 - theta.
     """
 
     dt: float
@@ -139,11 +142,9 @@ class IntegratorConfig:
     scheme: str = "split_step_spectral"
     kappa: float = 1.0
     c: float = 1.0
-    renormalize: bool = True
     real_noise: bool = False
     record_every: int = 1
-    absorb_threshold: float = 1e-3
-    stop_on_absorb: bool = True
+    absorb_threshold: float | None = None
     record_observables: tuple = ()
 
     def __post_init__(self):
@@ -157,7 +158,8 @@ class IntegratorConfig:
             raise ValueError("kappa must be non-negative")
         if not self.c > 0.0:
             raise ValueError("c must be positive")
-        if not 0.0 < self.absorb_threshold < 0.5:
+        theta = self.absorb_threshold
+        if theta is not None and not 0.0 < theta < 0.5:
             raise ValueError("absorb_threshold must lie in (0, 0.5)")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
@@ -243,13 +245,12 @@ class DensityChange:
 
 def ito_step(state: HilbertState, op, increment: complex,
              config: IntegratorConfig, stepper: UnitaryStepper | None = None):
-    """One full step; returns the new state and its norm before
-    renormalization.
+    """One full step; returns the renormalized new state and its norm
+    before renormalization.
 
     The shift uses the diagonal of the collapse operator ``op``; with
-    None it is skipped. With ``config.renormalize`` a
-    pre-renormalization norm that is zero or not finite raises
-    ``FloatingPointError``.
+    None it is skipped. A pre-renormalization norm that is zero or not
+    finite raises ``FloatingPointError``.
     """
     amp = state.amplitudes
     if op is not None:
@@ -258,12 +259,9 @@ def ito_step(state: HilbertState, op, increment: complex,
     if stepper is not None:
         amp = stepper.step(amp)
     norm_pre = math.sqrt(np.vdot(amp, amp).real * state.basis.weight)
-    if config.renormalize:
-        if norm_pre == 0.0 or not math.isfinite(norm_pre):
-            raise FloatingPointError(
-                f"state norm became {norm_pre!r} during a step")
-        amp = amp / norm_pre
-    return HilbertState(state.basis, amp), norm_pre
+    if norm_pre == 0.0 or not math.isfinite(norm_pre):
+        raise FloatingPointError(f"state norm became {norm_pre!r} during a step")
+    return HilbertState(state.basis, amp / norm_pre), norm_pre
 
 
 def density_change_decomposition(state: HilbertState, op, increment: complex,
@@ -392,11 +390,11 @@ def run_trajectory(system: GridSystem | FiniteSystem, initial: HilbertState,
     step (the rate tracks the evolving state); finite runs reuse the
     system's diagonal with its rate. An operator is built only for a
     step that is taken: the branch split of each new state (recorded,
-    and tested against the absorption threshold) recentres the
-    operator's unscaled ``centered`` field of the step that produced
-    it. That field's small second mean stays exact where a fresh
-    V - <V> would round to zero on a state almost entirely in one
-    level, and being unscaled it defines the branches at kappa = 0.
+    and tested against the run's absorption threshold if it has one)
+    recentres the operator's unscaled ``centered`` field of the step
+    that produced it. That field's small second mean stays exact where
+    a fresh V - <V> would round to zero on a state almost entirely in
+    one level, and being unscaled it defines the branches at kappa = 0.
     Recording happens at step multiples of ``record_every`` plus the
     initial and final points.
     ``per_step(step_index, state, op, increment)`` is invoked before
@@ -441,7 +439,7 @@ def run_trajectory(system: GridSystem | FiniteSystem, initial: HilbertState,
                     float(np.sum(local[mask]) / w) if w > 0.0 else float("nan"))
 
     op = collapse_op(state)
-    absorbing = config.stop_on_absorb and op is not None
+    absorbing = theta is not None and op is not None
     # without an operator the whole state is out
     in_mask, w_in = branch_split(state, op.centered)[:2] if op is not None else (False, 0.0)
     record(state, in_mask, w_in)

@@ -98,7 +98,7 @@ def test_two_level_martingale(two_level_ensemble):
     # per-step ledger: the stochastic density change the interacting
     # branch gains is exactly what the other branch loses
     system, state = cfg.finite_system()
-    icfg = cfg.integrator_config(n_steps=200, stop_on_absorb=False)
+    icfg = cfg.integrator_config(n_steps=200, absorb_threshold=None)
     mismatches, magnitudes = [], []
 
     def watch(step, current, op, increment):

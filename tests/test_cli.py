@@ -75,7 +75,7 @@ def test_free_packet_run_and_artifact_shape(tmp_path):
     assert main(["run", path]) == 0
     body = read_artifact(tmp_path, "free_packet")
     assert body["status"] == "ok"
-    assert body["artifact_version"] == 11
+    assert body["artifact_version"] == 12
     assert body["scenario"] == "free_packet"
     assert len(body["config_hash"]) == 64
     assert len(body["times"]) == 5

@@ -69,7 +69,18 @@ def test_unknown_key_names_exact_path():
     ({"scenario": "two_level_collapse", "levels": {"labels": ["in", "out"]}},
      "levels.labels"),
     ({"scenario": "eraser", "eraser": {"sign": "plus"}}, "eraser.sign"),
-], ids=["free_packet", "two_level_collapse", "eraser"])
+    # every run renormalizes, uses complex noise, absorbs exactly when it
+    # has a threshold, and takes its pair strength from the potential
+    ({"scenario": "grid_scattering", "numerics": {"renormalize": True}},
+     "numerics.renormalize"),
+    ({"scenario": "two_level_collapse", "numerics": {"real_noise": False}},
+     "numerics.real_noise"),
+    ({"scenario": "two_level_collapse", "numerics": {"stop_on_absorb": True}},
+     "numerics.stop_on_absorb"),
+    ({"scenario": "grid_scattering", "physics": {"charges": [1.0, 1.0]}},
+     "physics.charges"),
+], ids=["free_packet", "two_level_collapse", "eraser", "renormalize", "real_noise",
+        "stop_on_absorb", "charges"])
 def test_key_no_run_reads_exits_2(tmp_path, capsys, data, path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(data))
@@ -155,7 +166,7 @@ def test_value_range_paths():
          "levels.weight_in"),
         ({"scenario": "free_packet", "ensemble": {"n_traj": 0}},
          "ensemble.n_traj"),
-        ({"scenario": "grid_scattering", "numerics": {"absorb_threshold": 0.7}},
+        ({"scenario": "two_level_collapse", "numerics": {"absorb_threshold": 0.7}},
          "numerics.absorb_threshold"),
         ({"scenario": "free_packet", "output": {"formats": ["yaml"]}},
          "output.formats"),
@@ -181,8 +192,9 @@ def test_value_range_paths():
          "eraser.epsilons"),
         ({"scenario": "grid_scattering",
           "physics": {"potential": {"depth": 0.0}}}, "physics.potential.depth"),
-        ({"scenario": "grid_scattering", "physics": {"charges": [0.0, 1.0]}},
-         "physics.charges"),
+        ({"scenario": "grid_scattering",
+          "physics": {"potential": {"form": "soft_coulomb", "strength": 0.0}}},
+         "physics.potential.strength"),
         ({"scenario": "two_level_collapse", "levels": {"diagonal": [1.0, 0.0, 0.0]}},
          "levels.diagonal"),
         ({"scenario": "conservation_suite",
@@ -319,18 +331,6 @@ def test_grid_builders():
     assert icfg.c == pytest.approx(28.284271247461902)
 
 
-def test_charges_scale_pair_coupling():
-    cfg = parse_config_data({"scenario": "grid_scattering",
-                             "physics": {"charges": [2.0, 3.0]}})
-    pair = cfg.pairs()[0]
-    assert pair.potential.strength == pytest.approx(-12.0)
-    coulomb = parse_config_data({
-        "scenario": "grid_scattering",
-        "physics": {"charges": [2.0, -1.0],
-                    "potential": {"form": "soft_coulomb", "strength": 0.5}}})
-    assert coulomb.pairs()[0].potential.strength == pytest.approx(-1.0)
-
-
 def test_finite_system_builder():
     cfg = parse_config_data({"scenario": "two_level_collapse",
                              "levels": {"weight_in": 0.36}})
@@ -424,18 +424,6 @@ _SMALL_RUNS = {
 # Leaves that act only when another key is set, each with that setting;
 # the sweep changes them from the small run plus the setting.
 _CONDITIONAL = {
-    # the threshold stops a run only with stop_on_absorb, and stopping
-    # needs a branch weight past the threshold: both small runs start
-    # with a weight near 0.54 (grid) or 0.62 (suite) and stop at once at
-    # the given threshold, not at the changed one
-    ("grid_scattering", "numerics.absorb_threshold"):
-        {"numerics": {"stop_on_absorb": True, "absorb_threshold": 0.47}},
-    ("grid_scattering", "numerics.stop_on_absorb"):
-        {"numerics": {"absorb_threshold": 0.47}},
-    ("conservation_suite", "numerics.absorb_threshold"):
-        {"numerics": {"n_steps": 2, "stop_on_absorb": True, "absorb_threshold": 0.4}},
-    ("conservation_suite", "numerics.stop_on_absorb"):
-        {"numerics": {"n_steps": 2, "absorb_threshold": 0.4}},
     # only the resolved (sde) runs step in time
     ("eraser", "eraser.n_steps"): {"eraser": {"mode": "sde"}},
     ("eraser", "eraser.dt"): {"eraser": {"mode": "sde"}},
@@ -470,8 +458,6 @@ def _another(path, value):
     """A valid value of the leaf at ``path`` other than ``value``."""
     if path in _OTHER_VALUES:
         return _OTHER_VALUES[path]
-    if isinstance(value, bool):
-        return not value
     if isinstance(value, list):
         return [_another(path, v) for v in value]
     if isinstance(value, int):

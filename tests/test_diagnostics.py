@@ -222,8 +222,7 @@ def _tracked_run(n, scheme, seed=5):
     pairs = [InteractionPair(0, 1, GaussianWell(-2.0, 1.0))]
     state = normalize(gaussian_packet(basis, centers=(-0.8, 0.8),
                                       widths=(0.9, 0.9), momenta=(0.6, -0.4)))
-    cfg = IntegratorConfig(dt=0.003, n_steps=40, scheme=scheme,
-                           stop_on_absorb=False)
+    cfg = IntegratorConfig(dt=0.003, n_steps=40, scheme=scheme)
     dscheme = cfg.derivative_scheme
     tracker = ConservationGapTracker(MomentumOperator(basis, scheme=dscheme),
                                      cfg.dt)
@@ -256,7 +255,7 @@ def test_gap_tracker_exact_for_commuting_finite_diagonal():
     basis = FiniteBasis(("in", "out"))
     psi = finite_state(basis, np.array([np.sqrt(0.37), np.sqrt(0.63)], dtype=complex))
     system = FiniteSystem(basis, (1.0, 0.0), gamma=4.0, energy_denominator=2.0)
-    cfg = IntegratorConfig(dt=0.01, n_steps=200, stop_on_absorb=False)
+    cfg = IntegratorConfig(dt=0.01, n_steps=200)
     tracker = ConservationGapTracker(DiagonalOperator(np.array([1.0, 0.0])),
                                      cfg.dt)
     record = run_trajectory(system, psi, cfg, seed=31, per_step=tracker)

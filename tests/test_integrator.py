@@ -6,6 +6,7 @@ one-step shift map. Stochastic assertions run on frozen seeds with
 bands derived from the sample size, so they are deterministic.
 """
 
+import dataclasses
 import gc
 import weakref
 from types import SimpleNamespace
@@ -102,8 +103,9 @@ def test_config_validation_rejects_bad_values():
         IntegratorConfig(**good, scheme="leapfrog")
     with pytest.raises(ValueError):
         IntegratorConfig(**good, kappa=-1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(**good, absorb_threshold=0.5)
+    for theta in (0.0, 0.5):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**good, absorb_threshold=theta)
     with pytest.raises(ValueError):
         IntegratorConfig(**good, record_every=0)
     nan = float("nan")
@@ -111,6 +113,10 @@ def test_config_validation_rejects_bad_values():
         with pytest.raises(ValueError):
             IntegratorConfig(n_steps=3, **bad)
     cfg = IntegratorConfig(**good)
+    assert cfg.absorb_threshold is None
+    # frozen: no assignment gets round the checks above
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.dt = 0.0
     assert cfg.derivative_scheme == "spectral"
     assert IntegratorConfig(**good, scheme="crank_nicolson_stencil").derivative_scheme == "stencil"
 
@@ -165,9 +171,13 @@ def test_spectral_free_packet_width_matches_closed_form():
     m, s0, k0 = 1.3, 1.0, 0.7
     basis = GridBasis(GridSpec(1, 256, 16.0), (ParticleSpec(m),))
     state = normalize(gaussian_packet(basis, [0.0], [s0], [k0]))
-    cfg = IntegratorConfig(dt=0.002, n_steps=1000, renormalize=False)
-    final = run_schrodinger_reference(GridSystem(basis), state, cfg)
-    t = cfg.dt * cfg.n_steps
+    dt, n_steps = 0.002, 1000
+    stepper = UnitaryStepper(basis, dt)
+    amp = state.amplitudes
+    for _ in range(n_steps):
+        amp = stepper.step(amp)
+    final = state.with_amplitudes(amp)
+    t = dt * n_steps
 
     x = DiagonalOperator(basis.axis_coordinate(0))
     x2 = DiagonalOperator(basis.axis_coordinate(0) ** 2)
@@ -213,13 +223,13 @@ def test_renormalized_step_reports_prior_norm():
     op = collapse_from_diagonal(state, TWO_LEVEL_DIAG, gamma_value=4.0,
                                 energy_denominator=2.0, kappa=1.0)
     xi = WienerProcess(seed=5).increment(cfg.dt)
+    diag = op.diagonal
+    raw = state.amplitudes * (1.0 + diag * xi - 0.5 * diag * diag * cfg.dt)
 
-    raw_cfg = IntegratorConfig(dt=0.01, n_steps=1, renormalize=False)
-    raw, raw_norm = ito_step(state, op, xi, raw_cfg)
     new, norm_pre = ito_step(state, op, xi, cfg)
 
-    assert norm_pre == raw_norm
-    assert abs(norm_pre - norm(raw)) < 1e-15
+    assert np.allclose(new.amplitudes * norm_pre, raw, rtol=1e-15, atol=0.0)
+    assert abs(norm_pre - norm(state.with_amplitudes(raw))) < 1e-15
     assert abs(norm(new) - 1.0) < 1e-14
     assert norm_pre != 1.0
 
@@ -229,10 +239,6 @@ def test_renormalizing_a_non_finite_state_raises(bad):
     state = finite_state(FiniteBasis(("in", "out")), [bad, 0.6])
     with pytest.raises(FloatingPointError, match="norm"):
         ito_step(state, None, 0.0, IntegratorConfig(dt=0.01, n_steps=1))
-    # without renormalization the step reports the norm it produced
-    _, norm_pre = ito_step(state, None, 0.0,
-                           IntegratorConfig(dt=0.01, n_steps=1, renormalize=False))
-    assert not np.isfinite(norm_pre)
 
 
 def test_kappa_zero_is_bit_identical_to_reference_finite():
@@ -275,7 +281,7 @@ def test_zero_gain_grid_run_skips_the_rate(monkeypatch):
     basis, pair, state = _pair_system()
     for kappa in (0.0, 1.0):
         calls.clear()
-        cfg = IntegratorConfig(dt=0.005, n_steps=5, kappa=kappa, stop_on_absorb=False)
+        cfg = IntegratorConfig(dt=0.005, n_steps=5, kappa=kappa)
         rec = run_trajectory(GridSystem(basis, (pair,)), state, cfg, seed=3)
         assert rec.steps_taken == 5
         expected = rec.steps_taken if kappa > 0 else 0
@@ -341,7 +347,7 @@ def test_stochastic_part_is_exact_first_order_norm_budget():
     """
     basis, pair, state = _pair_system(momenta=(0.6, -0.4))
     dt = 0.01
-    cfg = IntegratorConfig(dt=dt, n_steps=1, renormalize=False)
+    cfg = IntegratorConfig(dt=dt, n_steps=1)
     op = collapse_sum(state, (pair,), kappa=1.0, c=1.0)
     diag = op.diagonal
     xi = WienerProcess(seed=21).increment(dt)
@@ -349,8 +355,8 @@ def test_stochastic_part_is_exact_first_order_norm_budget():
     skew = 1.0 + 0.25 * np.tanh(basis.axis_coordinate(0))
     tilted = normalize(state.with_amplitudes(state.amplitudes * skew))
 
-    shifted, _ = ito_step(tilted, op, xi, cfg, stepper=None)
-    delta_sq = norm(shifted) ** 2 - norm(tilted) ** 2
+    _, norm_pre = ito_step(tilted, op, xi, cfg, stepper=None)
+    delta_sq = norm_pre ** 2 - norm(tilted) ** 2
 
     change = density_change_decomposition(tilted, op, xi, cfg)
     stoch = np.sum(change.stochastic_part) * basis.weight
@@ -377,12 +383,13 @@ def test_density_decomposition_residual_is_first_order():
     z = complex(1.1, -0.6)  # fixed normal pair, |z|^2/2 != 1
 
     def residual(dt):
-        cfg = IntegratorConfig(dt=dt, n_steps=1, renormalize=False)
+        cfg = IntegratorConfig(dt=dt, n_steps=1)
         op = collapse_sum(state, (pair,), kappa=8.0, c=1.0)
         xi = z * np.sqrt(dt / 2.0)
         stepper = UnitaryStepper(basis, dt, potential=PairGeometry(basis, pair).values)
-        new, _ = ito_step(state, op, xi, cfg, stepper=stepper)
-        actual = ((np.conj(new.amplitudes) * new.amplitudes)
+        new, norm_pre = ito_step(state, op, xi, cfg, stepper=stepper)
+        raw = new.amplitudes * norm_pre
+        actual = ((np.conj(raw) * raw)
                   - (np.conj(state.amplitudes) * state.amplitudes)).real
         model = density_change_decomposition(state, op, xi, cfg, hamiltonian=ham)
         return np.sum(np.abs(actual - model.total)) * basis.weight
@@ -455,6 +462,35 @@ def test_two_level_trajectory_absorbs_and_reports():
     assert edge >= 1.0 - cfg.absorb_threshold or edge <= cfg.absorb_threshold
 
 
+def test_finite_run_without_a_threshold_takes_every_step():
+    # the config that absorbs above, with no threshold: the weight runs
+    # past 0.05 and the run still takes all its steps
+    cfg = _two_level_config(absorb_threshold=None)
+    rec = run_trajectory(TWO_LEVEL, _two_level(0.5), cfg, seed=1)
+    assert rec.outcome is None
+    assert rec.steps_taken == cfg.n_steps
+    assert rec.times.size == cfg.n_steps + 1
+    assert min(rec.weight_in[-1], 1.0 - rec.weight_in[-1]) < 0.05
+
+
+def test_grid_run_with_a_threshold_stops():
+    # the library keeps grid absorption: a threshold the weight passes
+    # at the first step stops the same-seed run there
+    basis, pair, state = _pair_system(momenta=(0.6, -0.4))
+    system = GridSystem(basis, (pair,))
+    cfg = IntegratorConfig(dt=0.01, n_steps=5)
+    free = run_trajectory(system, state, cfg, seed=8)
+    assert (free.outcome, free.steps_taken) == (None, 5)
+    w = free.weight_in[1]
+    theta = min(w, 1.0 - w) + 1e-3
+    assert theta < 0.5
+    rec = run_trajectory(system, state, dataclasses.replace(cfg, absorb_threshold=theta),
+                         seed=8)
+    assert (rec.outcome, rec.steps_taken) == ("in" if w > 0.5 else "out", 1)
+    assert np.array_equal(rec.weight_in, free.weight_in[:2])
+    assert np.array_equal(rec.times, [0.0, cfg.dt])
+
+
 def test_trajectory_weight_series_matches_step_count():
     cfg = _two_level_config(n_steps=30, absorb_threshold=1e-6)
     rec = run_trajectory(TWO_LEVEL, _two_level(0.5), cfg, seed=4)
@@ -492,7 +528,7 @@ def _reference_trajectory(amp, system, cfg, seed):
         recorded = step % cfg.record_every == 0 or step == cfg.n_steps
         if recorded:
             weights.append(w)
-        if cfg.stop_on_absorb and (w >= 1.0 - theta or w <= theta):
+        if theta is not None and (w >= 1.0 - theta or w <= theta):
             outcome = "in" if w >= 1.0 - theta else "out"
             break
     if not recorded:
@@ -504,7 +540,7 @@ def _reference_trajectory(amp, system, cfg, seed):
     dict(record_every=3),
     dict(real_noise=True),
     dict(n_steps=25, absorb_threshold=1e-6),
-    dict(n_steps=60, record_every=7, stop_on_absorb=False),
+    dict(n_steps=60, record_every=7, absorb_threshold=None),
 ])
 def test_two_level_run_matches_reference_loop(overrides):
     cfg = _two_level_config(**overrides)
@@ -527,7 +563,7 @@ def test_collapsed_two_level_state_keeps_its_branch_weight():
     # past the reference loop's reach: once the out level holds less than
     # 2**-53 of the density, a one-pass V - <V> rounds to zero on the in
     # level and would put the whole state in the out branch
-    cfg = _two_level_config(n_steps=400, stop_on_absorb=False)
+    cfg = _two_level_config(n_steps=400, absorb_threshold=None)
     rec = run_trajectory(TWO_LEVEL, _two_level(0.37, phase=0.4), cfg, seed=13)
     dens = np.abs(rec.final_state.amplitudes) ** 2
     assert 0.0 < dens[1] < 2.0 ** -53 * dens[0]
@@ -595,8 +631,7 @@ def test_grid_trajectory_times_follow_the_record_clock():
     # a final step off the record grid, and a dt whose running sum drifts
     # off its multiples
     basis, pair, state = _pair_system(n=32, momenta=(0.6, -0.4))
-    cfg = IntegratorConfig(dt=0.003, n_steps=43, kappa=1.0, record_every=5,
-                           stop_on_absorb=False)
+    cfg = IntegratorConfig(dt=0.003, n_steps=43, kappa=1.0, record_every=5)
     rec = run_trajectory(GridSystem(basis, (pair,)), state, cfg, seed=2)
     steps = np.minimum(np.arange(10) * cfg.record_every, cfg.n_steps)
     assert np.array_equal(rec.times, steps * cfg.dt)
@@ -621,7 +656,7 @@ def test_energy_reuses_the_recorded_kinetic_field(monkeypatch, with_pair, scheme
     for names in (("energy",), ("kinetic", "energy"), ("energy", "kinetic")):
         calls.clear()
         cfg = IntegratorConfig(dt=0.002, n_steps=12, scheme=scheme, record_every=4,
-                               stop_on_absorb=False, record_observables=names)
+                               record_observables=names)
         rec = run_trajectory(system, state, cfg, seed=8)
         n_records = rec.times.size
         assert len(calls) == n_records * basis.n_axes
@@ -645,8 +680,7 @@ def test_two_pair_energy_is_the_summed_hamiltonian(names):
              InteractionPair(1, 2, SoftCoulomb(1.0, 0.5)))
     state = normalize(gaussian_packet(basis, [-1.0, 0.2, 1.1], [0.9, 0.8, 1.0],
                                       [0.5, -0.2, -0.4]))
-    cfg = IntegratorConfig(dt=0.01, n_steps=6, record_every=2, stop_on_absorb=False,
-                           record_observables=names)
+    cfg = IntegratorConfig(dt=0.01, n_steps=6, record_every=2, record_observables=names)
     seen = []
     rec = run_trajectory(GridSystem(basis, pairs), state, cfg, seed=3,
                          per_step=lambda step, state, op, increment: seen.append((state, op)))
@@ -702,7 +736,6 @@ def test_pair_geometry_is_computed_once_per_run(monkeypatch, potential):
     for n_steps in (10, 20):
         calls.clear()
         cfg = IntegratorConfig(dt=0.008, n_steps=n_steps, kappa=1.0, record_every=5,
-                               stop_on_absorb=False,
                                record_observables=("momentum", "kinetic", "energy"))
         rec = run_trajectory(GridSystem(basis, (pair,)), state, cfg, seed=2)
         assert rec.steps_taken == n_steps
@@ -723,7 +756,7 @@ def test_system_does_not_pin_pair_fields(monkeypatch):
     monkeypatch.setattr(operators_module.PairGeometry, "__init__", recording)
     basis, pair, state = _pair_system(momenta=(0.6, -0.4))
     system = GridSystem(basis, (pair,))
-    cfg = IntegratorConfig(dt=0.005, n_steps=4, record_every=2, stop_on_absorb=False,
+    cfg = IntegratorConfig(dt=0.005, n_steps=4, record_every=2,
                            record_observables=("momentum", "energy"))
     for seed in (0, 1):
         run_trajectory(system, state, cfg, seed=seed)

@@ -485,7 +485,7 @@ def test_collapse_sum_adds_the_single_pair_operators(scheme):
 
 def test_two_pair_run_hands_per_step_one_operator():
     basis, state, pairs = _three_in_a_line()
-    cfg = IntegratorConfig(dt=0.01, n_steps=3, stop_on_absorb=False)
+    cfg = IntegratorConfig(dt=0.01, n_steps=3)
     seen = []
     run_trajectory(GridSystem(basis, tuple(pairs)), state, cfg, seed=3,
                    per_step=lambda step, current, op, increment: seen.append(op))
